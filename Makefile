@@ -16,13 +16,15 @@ GO ?= go
 # booted waved), and the cache smoke (the caching tier renders
 # byte-identical cold and warm answers across every scheme, technique,
 # and shard count, and a mid-transition crash never leaves a stale
-# entry servable, under -race).
+# entry servable, under -race), and the perfbench module's vet and
+# tests (its own go.mod keeps it out of the root build).
 .PHONY: check vet build test race bench-smoke metrics-smoke chaos-smoke \
 	shard-smoke netchaos-smoke cache-smoke bench-record bench-record-smoke \
-	bench-gate obs-smoke
+	bench-gate obs-smoke perfbench-test
 
 check: vet build race bench-smoke metrics-smoke chaos-smoke shard-smoke \
-	netchaos-smoke cache-smoke bench-record-smoke bench-gate obs-smoke
+	netchaos-smoke cache-smoke bench-record-smoke bench-gate obs-smoke \
+	perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +79,12 @@ obs-smoke:
 	./.obs-smoke/wavetop -addr 127.0.0.1:7461 -once | grep -q 'SHARDS' && \
 	./.obs-smoke/wavetop -addr 127.0.0.1:7461 -once | grep -q 'EVENTS'
 	rm -rf .obs-smoke
+
+# perfbench-test vets and tests the wall-clock benchmark module. Root
+# `go build ./...` never compiles perfbench/, which imports the server
+# and shard APIs, so an API change must pass here too.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-record writes a full-length bench trajectory to bench/ for
 # regression tracking; compare two recordings with

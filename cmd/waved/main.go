@@ -33,26 +33,26 @@
 // Every waved runs an always-on observability plane: a bounded event
 // timeline (wave transitions with their phase boundaries, journal
 // checkpoints and recoveries, breaker flips, admission sheds, degraded
-// replies, slow queries) served by the EVENTS wire command, and a
-// rolling-window SLO engine (per-command rate/error/latency over 1m,
-// 5m, and 1h with error-budget burn rates) served by SLO. -events sets
-// the timeline's ring capacity; -slo-latency-ms and -slo-availability
-// set the objectives. Watch it all live with the wavetop command.
+// replies, slow queries) served as INFO events, and a rolling-window
+// SLO engine (per-command rate/error/latency over 1m, 5m, and 1h with
+// error-budget burn rates) served as INFO slo. -events sets the
+// timeline's ring capacity; -slo-latency-ms and -slo-availability set
+// the objectives. Watch it all live with the wavetop command.
 //
 // With -cache-blocks N each store gets an N-block LRU buffer pool, and
 // with -cache-results N a per-constituent result cache of N rows
 // memoizes probe buckets and aggregates against constituent
 // generations — wave transitions invalidate only the rebuilt
-// constituents' entries. The CACHE wire command and /cache serve the
-// combined snapshot; cache_* gauges ride METRICS and /metrics.
+// constituents' entries. INFO cache and /cache serve the combined
+// snapshot; cache_* gauges ride INFO metrics and /metrics.
 //
 // With -admin-addr an HTTP admin server runs alongside the line
 // protocol: /metrics (Prometheus text format, including the per-cause
-// work ledger and slo_* series), /healthz, /slo (the SLO report as
-// JSON), /events (the timeline as JSON, with since= cursors and wait=
-// long-polling), /debug/pprof/*, and /debug/spans (recent spans as
-// Chrome trace JSON with timeline events interleaved as instant
-// markers). With -trace-out the retained spans are also written to the
+// work ledger and slo_* series), /healthz, /slo, /cache, /events (the
+// same JSON documents, byte for byte, as INFO health, slo, cache and
+// events; /events adds wait= long-polling), /debug/pprof/*, and
+// /debug/spans (recent spans as Chrome trace JSON with timeline events
+// interleaved as instant markers). With -trace-out the retained spans are also written to the
 // named file as Chrome trace JSON on shutdown.
 //
 // Try it:
@@ -148,7 +148,6 @@ type app struct {
 	admin      *telemetry.Server
 	sink       *telemetry.SpanSink
 	b          server.Backend
-	jr         *wave.Journaled
 	router     *shard.Router
 	bus        *obs.Bus        // fleet-wide event timeline
 	slo        *obs.Engine     // rolling-window SLO engine
@@ -275,7 +274,6 @@ func newApp(cfg config) (*app, error) {
 		if hadCkpt {
 			cfg.logf("waved: recovered journaled index from %s", cfg.journalDir)
 		}
-		a.jr = jr
 		a.b = jr
 	default:
 		idx, err := wave.New(wcfg)
@@ -284,15 +282,16 @@ func newApp(cfg config) (*app, error) {
 		}
 		a.b = idx
 	}
-	if cfg.cacheResults > 0 {
+	a.srv = server.NewBackend(a.b, opts)
+	admin := a.srv.AdminOptions()
+	if cfg.cacheResults > 0 && admin.Cache != nil {
 		// Each completed transition publishes a cache.invalidate event
 		// when constituent generations purged cached results.
 		a.spanEvents.SetCacheSampler(func() (int64, int64) {
-			ci := a.cacheInfo()
+			ci := admin.Cache()
 			return ci.Results.Invalidated, ci.Results.Entries
 		})
 	}
-	a.srv = server.NewBackend(a.b, opts)
 
 	a.ln, err = net.Listen("tcp", cfg.addr)
 	if err != nil {
@@ -300,23 +299,10 @@ func newApp(cfg config) (*app, error) {
 		return nil, err
 	}
 	if cfg.adminAddr != "" {
-		topts := telemetry.Options{
-			// The server's merged snapshot: backend metrics plus the
-			// wire-level registry (connections, shed queries, dedupe
-			// hits), matching what METRICS streams.
-			Metrics: a.srv.MetricsSnapshot,
-			Work:    func() []wave.CauseStats { return a.b.Work() },
-			Health:  a.health,
-			Spans:   a.sink,
-			Events:  a.bus,
-			SLO:     a.slo.Report,
-			Cache:   a.cacheInfo,
-		}
-		if a.router != nil {
-			topts.ShardMetrics = a.router.ShardMetrics
-			topts.Breakers = a.breakerStatus
-		}
-		a.admin, err = telemetry.Serve(cfg.adminAddr, topts)
+		// The server's own document hooks, so every admin endpoint
+		// serves what the matching INFO section answers.
+		admin.Spans = a.sink
+		a.admin, err = telemetry.Serve(cfg.adminAddr, admin)
 		if err != nil {
 			a.ln.Close()
 			a.closeIndex()
@@ -325,39 +311,6 @@ func newApp(cfg config) (*app, error) {
 		cfg.logf("waved: admin server on http://%s (/metrics /healthz /debug/pprof/ /debug/spans)", a.admin.Addr())
 	}
 	return a, nil
-}
-
-// health mirrors the line protocol's HEALTH command for /healthz.
-func (a *app) health() telemetry.Health {
-	h := telemetry.Health{
-		Ready:         a.b.Ready(),
-		Degraded:      a.b.Degraded(),
-		NeedsRecovery: a.b.NeedsRecovery(),
-		Journaled:     a.jr != nil || (a.router != nil && a.router.Journaled()),
-	}
-	if a.router != nil {
-		h.OpenBreakers = len(a.router.OpenBreakers())
-	}
-	return h
-}
-
-// cacheInfo fetches the backend's caching-tier snapshot (zero when the
-// backend does not expose one, or before it is built).
-func (a *app) cacheInfo() wave.CacheInfo {
-	if cb, ok := a.b.(interface{ CacheInfo() wave.CacheInfo }); ok {
-		return cb.CacheInfo()
-	}
-	return wave.CacheInfo{}
-}
-
-// breakerStatus adapts the router's breaker states for /metrics.
-func (a *app) breakerStatus() []telemetry.BreakerStatus {
-	states := a.router.BreakerStates()
-	out := make([]telemetry.BreakerStatus, len(states))
-	for i, bi := range states {
-		out[i] = telemetry.BreakerStatus{Shard: bi.Shard, State: bi.State.String(), Failures: bi.Failures}
-	}
-	return out
 }
 
 // addr returns the protocol listener's bound address.
@@ -425,7 +378,7 @@ func main() {
 	stores := flag.Int("stores", 1, "block store count (constituents spread round-robin)")
 	parallel := flag.Int("parallel", 0, "query worker bound (0 = one per store, or per constituent)")
 	async := flag.Bool("async", false, "pipeline ADDDAY: queue the transition and respond immediately (failures surface on FLUSH)")
-	slowlogMS := flag.Int("slowlog-ms", 0, "slow-query log threshold in ms (0 = disabled; see SLOWLOG)")
+	slowlogMS := flag.Int("slowlog-ms", 0, "slow-query log threshold in ms (0 = disabled; see INFO slowlog)")
 	trace := flag.Bool("trace", false, "log every trace span (queries, transitions, snapshots) to stderr")
 	traceOut := flag.String("trace-out", "", "write retained spans as Chrome trace JSON to this file on shutdown")
 	journalDir := flag.String("journal", "", "transition journal directory (enables crash-safe ingestion + RECOVER)")
@@ -437,8 +390,8 @@ func main() {
 	brkThreshold := flag.Int("breaker-threshold", 0, "consecutive failures opening a shard's circuit breaker (0 = breakers disabled; needs -shards > 1)")
 	brkCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = 1s default)")
 	cacheBlocks := flag.Int("cache-blocks", 0, "per-store block buffer pool size in blocks (0 = disabled)")
-	cacheResults := flag.Int("cache-results", 0, "per-constituent result cache size in result rows (0 = disabled; see CACHE and /cache)")
-	eventsCap := flag.Int("events", 0, "event-timeline ring capacity (0 = 4096 default; see EVENTS and /events)")
+	cacheResults := flag.Int("cache-results", 0, "per-constituent result cache size in result rows (0 = disabled; see INFO cache and /cache)")
+	eventsCap := flag.Int("events", 0, "event-timeline ring capacity (0 = 4096 default; see INFO events and /events)")
 	sloLatencyMS := flag.Int("slo-latency-ms", 0, "SLO latency objective in ms at the p99 (0 = availability objective only)")
 	sloAvail := flag.Float64("slo-availability", 0, "SLO availability objective, fraction of good requests (0 = 0.999 default)")
 	flag.Parse()

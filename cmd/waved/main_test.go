@@ -236,14 +236,14 @@ func TestShardedServer(t *testing.T) {
 	if !h.Ready || h.Journaled {
 		t.Errorf("/healthz = %+v, want ready non-journaled", h)
 	}
-	// The wire HEALTH must agree: the router has a Recover method, but
+	// The wire INFO health must agree: the router has a Recover method, but
 	// this fleet carries no journals.
-	wh, err := c.Health()
+	wh, err := health(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !wh.Ready || wh.Journaled {
-		t.Errorf("HEALTH = %+v, want ready non-journaled", wh)
+		t.Errorf("INFO health = %+v, want ready non-journaled", wh)
 	}
 	if _, err := c.Recover(); err == nil {
 		t.Error("RECOVER accepted on a non-journaled sharded fleet")
@@ -301,7 +301,7 @@ func TestJournaledHealthz(t *testing.T) {
 
 // TestResilienceFlagPlumbing drives the resilience flags end to end:
 // a sharded journaled fleet with breakers and admission control, whose
-// breaker state shows up in /metrics, /healthz, HEALTH, and closes via
+// breaker state shows up in /metrics, /healthz, INFO health, and closes via
 // RECOVER.
 func TestResilienceFlagPlumbing(t *testing.T) {
 	a, c := startApp(t, config{
@@ -339,19 +339,19 @@ func TestResilienceFlagPlumbing(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		c.Probe("ka")
-		if h, err := c.Health(); err == nil && h.OpenBreakers == 1 {
+		if h, err := health(c); err == nil && h.OpenBreakers == 1 {
 			break
 		}
 		if i == 19 {
 			t.Fatal("breaker never opened")
 		}
 	}
-	h, err := c.Health()
+	h, err := health(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "degraded" || h.OpenBreakers != 1 {
-		t.Fatalf("HEALTH with open breaker = %+v", h)
+		t.Fatalf("INFO health with open breaker = %+v", h)
 	}
 	_, body = get(t, base+"/metrics")
 	if !strings.Contains(body, fmt.Sprintf("shard_breaker_state{shard=%q} 2", fmt.Sprint(target))) {
@@ -373,7 +373,7 @@ func TestResilienceFlagPlumbing(t *testing.T) {
 	if _, err := c.Recover(); err != nil {
 		t.Fatalf("RECOVER: %v", err)
 	}
-	h, err = c.Health()
+	h, err = health(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,4 +383,11 @@ func TestResilienceFlagPlumbing(t *testing.T) {
 	if _, err := c.Probe("ka"); err != nil {
 		t.Fatalf("probe after RECOVER: %v", err)
 	}
+}
+
+// health fetches the INFO health document over the wire.
+func health(c *server.Client) (telemetry.Health, error) {
+	var h telemetry.Health
+	err := c.Info("health", &h)
+	return h, err
 }

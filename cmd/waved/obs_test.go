@@ -61,13 +61,13 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("no wave.transition on the timeline: %+v", page.Events)
 	}
 
-	// The wire EVENTS command replays the identical stream.
-	wire, err := c.Events(0, 0)
-	if err != nil {
+	// INFO events replays the identical stream.
+	var wire telemetry.EventsPage
+	if err := c.Info("events", &wire); err != nil {
 		t.Fatal(err)
 	}
 	if len(wire.Events) < len(page.Events) {
-		t.Fatalf("wire EVENTS has %d events, HTTP had %d", len(wire.Events), len(page.Events))
+		t.Fatalf("INFO events has %d events, HTTP had %d", len(wire.Events), len(page.Events))
 	}
 	for i, ev := range page.Events {
 		w := wire.Events[i]
@@ -79,8 +79,8 @@ func TestObsSmoke(t *testing.T) {
 
 	// SLO: both planes report probe and addday traffic under the default
 	// objectives, and /metrics renders the same engine as slo_* series.
-	rep, err := c.SLO()
-	if err != nil {
+	var rep obs.Report
+	if err := c.Info("slo", &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Objectives.Availability != 0.999 {
@@ -99,7 +99,7 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("/slo body %q: %v", body, err)
 	}
 	if len(hrep.Commands) != len(rep.Commands) {
-		t.Fatalf("/slo has %d commands, wire SLO had %d", len(hrep.Commands), len(rep.Commands))
+		t.Fatalf("/slo has %d commands, INFO slo had %d", len(hrep.Commands), len(rep.Commands))
 	}
 	_, body = get(t, base+"/metrics")
 	for _, want := range []string{
@@ -220,7 +220,7 @@ func TestChaosTimelineExactlyOnce(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		c.Probe("ka")
-		if h, err := c.Health(); err == nil && h.OpenBreakers == 1 {
+		if h, err := health(c); err == nil && h.OpenBreakers == 1 {
 			break
 		}
 		if i == 19 {
@@ -403,7 +403,7 @@ func TestObsEndpointsUnderFire(t *testing.T) {
 		}
 		for i := 0; i < 10; i++ {
 			flipC.Probe("ka")
-			if h, err := flipC.Health(); err == nil && h.OpenBreakers > 0 {
+			if h, err := health(flipC); err == nil && h.OpenBreakers > 0 {
 				break
 			}
 		}
@@ -450,7 +450,7 @@ func TestObsEndpointsUnderFire(t *testing.T) {
 				page.Events[i-1].Seq, page.Events[i].Seq)
 		}
 	}
-	if h, err := c.Health(); err != nil || !h.Ready {
+	if h, err := health(c); err != nil || !h.Ready {
 		t.Fatalf("fleet unhealthy after hammer: %+v err=%v", h, err)
 	}
 }

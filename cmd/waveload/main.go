@@ -16,6 +16,7 @@ import (
 
 	"waveindex/internal/server"
 	"waveindex/internal/workload"
+	"waveindex/wave"
 )
 
 func main() {
@@ -84,10 +85,11 @@ func run(addr string, days, articles, probes int, seed int64) error {
 		probes, probeDur.Round(time.Millisecond),
 		float64(probes)/probeDur.Seconds(), hits)
 
-	stats, err := c.Stats()
-	if err != nil {
+	var st wave.Stats
+	if err := c.Info("stats", &st); err != nil {
 		return err
 	}
-	fmt.Println("server:", stats)
+	fmt.Printf("server: scheme=%s days=%d bytes=%d window=%d..%d\n",
+		st.Scheme, st.DaysIndexed, st.ConstituentBytes, st.WindowFrom, st.WindowTo)
 	return nil
 }

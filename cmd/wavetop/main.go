@@ -1,7 +1,7 @@
 // Command wavetop is a live operator console for a waved server — the
 // terminal view of the observability plane the daemon always runs.
-// It polls the line protocol (HEALTH, WINDOW, METRICS SHARDS,
-// SLO, EVENTS) and renders one screenful: fleet health and window
+// It polls the line protocol (WINDOW and the INFO health, slo, shards
+// and events documents) and renders one screenful: fleet health and window
 // bounds, per-command SLO windows with error-budget burn, per-shard
 // query rates, latency quantiles and breaker positions, and the tail
 // of the fleet event timeline.
@@ -19,12 +19,12 @@
 // 0.0 (there is no previous frame yet); latency columns are the
 // cumulative p99 of the shard's probe and scan histograms; HIT% is the
 // shard's result-cache hit ratio ("-" when caching is off). The event
-// pane keeps its own EVENTS cursor, so events stream across frames
+// pane keeps its own INFO events cursor, so events stream across frames
 // without re-reading the whole ring.
 //
 // If waved restarts between polls its counters reset and the event bus
 // renumbers from 1. wavetop detects both — a query counter moving
-// backwards, or the EVENTS cursor landing past the server's newest
+// backwards, or the events cursor landing past the server's newest
 // sequence — clamps the affected QPS deltas at 0 instead of rendering
 // negative rates, resyncs the cursor, and marks the frame RESTARTED.
 package main
@@ -37,8 +37,10 @@ import (
 	"strings"
 	"time"
 
+	"waveindex/internal/metrics"
 	"waveindex/internal/obs"
 	"waveindex/internal/server"
+	"waveindex/internal/telemetry"
 )
 
 // frame is one polled snapshot of the server, everything render needs.
@@ -48,26 +50,26 @@ type frame struct {
 	addr string
 	now  time.Time
 
-	health   server.Health
+	health   telemetry.Health
 	from, to int
 	ready    bool
 
 	slo    obs.Report
-	shards []server.ShardMetrics
-	qps    []float64 // per-shard, aligned with shards; 0 on first frame
+	shards telemetry.Shards
+	qps    []float64 // per-shard, aligned with shards.Shards; 0 on first frame
 
 	events  []obs.Event // tail of the timeline, oldest first
 	dropped uint64      // events lost to the ring since the last poll
 
 	// restarted marks a frame where waved restarted since the previous
-	// poll: a query counter moved backwards or the EVENTS cursor was
+	// poll: a query counter moved backwards or the events cursor was
 	// ahead of the server's newest sequence.
 	restarted bool
 
 	err error
 }
 
-// poller accumulates cross-frame state: the EVENTS cursor, the
+// poller accumulates cross-frame state: the events cursor, the
 // retained event tail, and the previous query totals for QPS deltas.
 type poller struct {
 	c         *server.Client
@@ -82,17 +84,15 @@ type poller struct {
 }
 
 // queryTotal sums a shard's query counters — the numerator of its QPS.
-func queryTotal(sm server.ShardMetrics) int64 {
-	c := sm.Metrics.Counters
-	return c["query_probe_total"] + c["query_mprobe_total"] + c["query_scan_total"]
+func queryTotal(m metrics.Snapshot) int64 {
+	return m.Counter("query_probe_total") + m.Counter("query_mprobe_total") + m.Counter("query_scan_total")
 }
 
 // hitRatio returns the shard's result-cache hit percentage, or -1 when
 // caching is off or has seen no lookups yet (the cache_* gauges are
 // only exported while the cache is enabled).
-func hitRatio(sm server.ShardMetrics) float64 {
-	g := sm.Metrics.Gauges
-	h, m := g["cache_result_hits"], g["cache_result_misses"]
+func hitRatio(sm metrics.Snapshot) float64 {
+	h, m := sm.Gauge("cache_result_hits"), sm.Gauge("cache_result_misses")
 	if h+m <= 0 {
 		return -1
 	}
@@ -103,22 +103,20 @@ func hitRatio(sm server.ShardMetrics) float64 {
 // rendered as a banner; cross-frame state is only advanced on success.
 func (p *poller) poll() frame {
 	f := frame{addr: p.addr, now: time.Now()}
-	f.health, f.err = p.c.Health()
-	if f.err != nil {
+	if f.err = p.c.Info("health", &f.health); f.err != nil {
 		return f
 	}
 	if f.from, f.to, f.ready, f.err = p.c.Window(); f.err != nil {
 		return f
 	}
-	if f.slo, f.err = p.c.SLO(); f.err != nil {
+	if f.err = p.c.Info("slo", &f.slo); f.err != nil {
 		return f
 	}
-	if f.shards, f.err = p.c.ShardMetrics(); f.err != nil {
+	if f.err = p.c.Info("shards", &f.shards); f.err != nil {
 		return f
 	}
-	page, err := p.c.Events(p.cursor, 0)
-	if err != nil {
-		f.err = err
+	var page telemetry.EventsPage
+	if f.err = p.c.Info("events", &page, fmt.Sprintf("since=%d", p.cursor)); f.err != nil {
 		return f
 	}
 	if page.Last < p.cursor {
@@ -135,12 +133,12 @@ func (p *poller) poll() frame {
 	}
 	f.events, f.dropped = p.tail, p.dropped
 
-	f.qps = make([]float64, len(f.shards))
+	f.qps = make([]float64, len(f.shards.Shards))
 	now := f.now
 	if p.prev != nil {
 		dt := now.Sub(p.prevAt).Seconds()
-		for i, sm := range f.shards {
-			if prev, ok := p.prev[sm.Shard]; ok && dt > 0 {
+		for i, sm := range f.shards.Shards {
+			if prev, ok := p.prev[i]; ok && dt > 0 {
 				d := queryTotal(sm) - prev
 				if d < 0 {
 					// Counters reset under us — waved restarted between
@@ -154,8 +152,8 @@ func (p *poller) poll() frame {
 		}
 	}
 	p.prev = map[int]int64{}
-	for _, sm := range f.shards {
-		p.prev[sm.Shard] = queryTotal(sm)
+	for i, sm := range f.shards.Shards {
+		p.prev[i] = queryTotal(sm)
 	}
 	p.prevAt = now
 	return f
@@ -208,24 +206,28 @@ func render(f frame) string {
 
 	fmt.Fprintf(&b, "\nSHARDS\n  %-5s %9s %12s %12s %6s %10s %s\n",
 		"ID", "QPS", "PROBE p99µs", "SCAN p99µs", "HIT%", "BREAKER", "FAILS")
-	for i, sm := range f.shards {
+	brk := map[int]telemetry.BreakerStatus{}
+	for _, bs := range f.shards.Breakers {
+		brk[bs.Shard] = bs
+	}
+	for i, sm := range f.shards.Shards {
 		qps := 0.0
 		if i < len(f.qps) {
 			qps = f.qps[i]
 		}
-		brk := sm.BreakerState
-		if brk == "" {
-			brk = "-"
+		state := brk[i].State
+		if state == "" {
+			state = "-"
 		}
 		hit := "-"
 		if r := hitRatio(sm); r >= 0 {
 			hit = fmt.Sprintf("%.1f", r)
 		}
 		fmt.Fprintf(&b, "  %-5d %9.1f %12d %12d %6s %10s %d\n",
-			sm.Shard, qps,
-			sm.Metrics.Histogram("query_probe_us").P99,
-			sm.Metrics.Histogram("query_scan_us").P99,
-			hit, brk, sm.BreakerFailures)
+			i, qps,
+			sm.Histogram("query_probe_us").Quantile(0.99),
+			sm.Histogram("query_scan_us").Quantile(0.99),
+			hit, state, brk[i].Failures)
 	}
 
 	fmt.Fprintf(&b, "\nEVENTS (last %d)\n", len(f.events))

@@ -84,7 +84,7 @@ func TestOnceFrameRendersAllSections(t *testing.T) {
 }
 
 // TestEventTailStreamsAcrossFrames checks the poller resumes from its
-// EVENTS cursor: a second poll picks up only new events and the tail
+// events cursor: a second poll picks up only new events and the tail
 // is bounded by maxEvents.
 func TestEventTailStreamsAcrossFrames(t *testing.T) {
 	p, bus := startServer(t)
@@ -153,7 +153,7 @@ func TestQPSDeltas(t *testing.T) {
 }
 
 // TestRestartDetection simulates a waved restart by aging the poller's
-// cross-frame state past what the server reports: an EVENTS cursor
+// cross-frame state past what the server reports: an events cursor
 // ahead of the bus and query totals above the live counters. The frame
 // must clamp QPS at 0 instead of going negative, resync the cursor,
 // and carry the RESTARTED marker; the next frame streams normally.
@@ -206,7 +206,7 @@ func TestRestartDetection(t *testing.T) {
 }
 
 // TestHitRatioColumn drives repeated probes against a result-cached
-// index and checks the hit ratio surfaces through METRICS SHARDS into
+// index and checks the hit ratio surfaces through INFO shards into
 // the SHARDS pane (and stays "-" on cache-less servers, which
 // TestOnceFrameRendersAllSections's plain index covers implicitly).
 func TestHitRatioColumn(t *testing.T) {
@@ -252,10 +252,10 @@ func TestHitRatioColumn(t *testing.T) {
 	if f.err != nil {
 		t.Fatalf("poll: %v", f.err)
 	}
-	if len(f.shards) == 0 {
+	if len(f.shards.Shards) == 0 {
 		t.Fatal("no shard rows")
 	}
-	r := hitRatio(f.shards[0])
+	r := hitRatio(f.shards.Shards[0])
 	if r <= 0 || r > 100 {
 		t.Fatalf("hit ratio = %v, want in (0,100] after repeated probes", r)
 	}

@@ -12,14 +12,7 @@
 // records.
 package obs
 
-import (
-	"fmt"
-	"net/url"
-	"sort"
-	"strconv"
-	"strings"
-	"time"
-)
+import "time"
 
 // Event types, namespaced by the layer that emits them. The set is
 // open — consumers must tolerate types they do not know — but these
@@ -93,114 +86,4 @@ type Event struct {
 	// Fields carries low-cardinality extras (per-cause work deltas on
 	// transition events, netfault op/action).
 	Fields map[string]string `json:"fields,omitempty"`
-}
-
-// wireFields renders the event's optional fields as sorted k=v tokens
-// for the EVENTS wire command. Values are query-escaped so causes with
-// spaces survive the space-delimited line protocol.
-func (e Event) wireFields() []string {
-	var out []string
-	add := func(k, v string) {
-		if v != "" {
-			out = append(out, k+"="+url.QueryEscape(v))
-		}
-	}
-	add("cmd", e.Cmd)
-	add("phase", e.Phase)
-	add("cause", e.Cause)
-	add("trace", e.TraceID)
-	if e.Day != 0 {
-		add("day", strconv.Itoa(e.Day))
-	}
-	if e.Ops != 0 {
-		add("ops", strconv.Itoa(e.Ops))
-	}
-	if e.DurationUS != 0 {
-		add("us", strconv.FormatInt(e.DurationUS, 10))
-	}
-	if e.Value != 0 {
-		add("value", strconv.FormatInt(e.Value, 10))
-	}
-	extra := make([]string, 0, len(e.Fields))
-	for k, v := range e.Fields {
-		if v != "" {
-			extra = append(extra, "f."+k+"="+url.QueryEscape(v))
-		}
-	}
-	sort.Strings(extra)
-	return append(out, extra...)
-}
-
-// WireLine renders the event as one EVENTS response line:
-//
-//	EVENT <seq> <unix_us> <type> <shard> [k=v ...]
-func (e Event) WireLine() string {
-	parts := []string{
-		"EVENT",
-		strconv.FormatUint(e.Seq, 10),
-		strconv.FormatInt(e.Time.UnixMicro(), 10),
-		e.Type,
-		strconv.Itoa(e.Shard),
-	}
-	parts = append(parts, e.wireFields()...)
-	return strings.Join(parts, " ")
-}
-
-// ParseWireEvent parses the fields of an EVENT line (without the
-// leading "EVENT" token) back into an Event.
-func ParseWireEvent(fields []string) (Event, error) {
-	if len(fields) < 4 {
-		return Event{}, fmt.Errorf("obs: short EVENT line (%d fields)", len(fields))
-	}
-	var e Event
-	var err error
-	if e.Seq, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("obs: bad seq %q", fields[0])
-	}
-	us, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: bad timestamp %q", fields[1])
-	}
-	e.Time = time.UnixMicro(us).UTC()
-	e.Type = fields[2]
-	if e.Shard, err = strconv.Atoi(fields[3]); err != nil {
-		return Event{}, fmt.Errorf("obs: bad shard %q", fields[3])
-	}
-	for _, kv := range fields[4:] {
-		k, raw, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Event{}, fmt.Errorf("obs: bad field %q", kv)
-		}
-		v, err := url.QueryUnescape(raw)
-		if err != nil {
-			return Event{}, fmt.Errorf("obs: bad field value %q", kv)
-		}
-		switch k {
-		case "cmd":
-			e.Cmd = v
-		case "phase":
-			e.Phase = v
-		case "cause":
-			e.Cause = v
-		case "trace":
-			e.TraceID = v
-		case "day":
-			e.Day, _ = strconv.Atoi(v)
-		case "ops":
-			e.Ops, _ = strconv.Atoi(v)
-		case "us":
-			e.DurationUS, _ = strconv.ParseInt(v, 10, 64)
-		case "value":
-			e.Value, _ = strconv.ParseInt(v, 10, 64)
-		default:
-			if rest, ok := strings.CutPrefix(k, "f."); ok {
-				if e.Fields == nil {
-					e.Fields = map[string]string{}
-				}
-				e.Fields[rest] = v
-			}
-			// Unknown bare keys are tolerated: the set is open.
-		}
-	}
-	return e, nil
 }

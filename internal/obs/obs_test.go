@@ -168,42 +168,6 @@ func TestBusNilAndClosed(t *testing.T) {
 	}
 }
 
-func TestEventWireRoundTrip(t *testing.T) {
-	in := Event{
-		Seq:        42,
-		Time:       time.UnixMicro(1700000000123456).UTC(),
-		Type:       EventDegraded,
-		Shard:      2,
-		Cmd:        "probe",
-		Cause:      `breaker open \ "quoted"`,
-		TraceID:    "req-17",
-		Day:        9,
-		Ops:        3,
-		DurationUS: 1500,
-		Value:      -7,
-		Fields:     map[string]string{"transition": "4/4096/8192"},
-	}
-	line := in.WireLine()
-	if strings.Count(line, "\n") != 0 {
-		t.Fatalf("wire line contains newline: %q", line)
-	}
-	fields := strings.Fields(line)
-	if fields[0] != "EVENT" {
-		t.Fatalf("wire line %q", line)
-	}
-	out, err := ParseWireEvent(fields[1:])
-	if err != nil {
-		t.Fatalf("ParseWireEvent: %v", err)
-	}
-	if out.Seq != in.Seq || !out.Time.Equal(in.Time) || out.Type != in.Type ||
-		out.Shard != in.Shard || out.Cmd != in.Cmd || out.Cause != in.Cause ||
-		out.TraceID != in.TraceID || out.Day != in.Day || out.Ops != in.Ops ||
-		out.DurationUS != in.DurationUS || out.Value != in.Value ||
-		out.Fields["transition"] != in.Fields["transition"] {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
 func TestSpanEventsMapping(t *testing.T) {
 	bus := NewBus(64)
 	work := []simdisk.CauseStats{

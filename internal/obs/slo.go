@@ -293,7 +293,7 @@ type CommandSLO struct {
 	Windows []WindowStats `json:"windows"`
 }
 
-// Report is the full SLO snapshot served by /slo and the SLO wire
+// Report is the full SLO snapshot served by /slo and the INFO slo wire
 // command.
 type Report struct {
 	Objectives Objectives   `json:"objectives"`

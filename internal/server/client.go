@@ -2,16 +2,15 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"waveindex/internal/obs"
 	"waveindex/wave"
 )
 
@@ -588,67 +587,6 @@ func (c *Client) Window() (from, to int, ready bool, err error) {
 	return from, to, ready, nil
 }
 
-// Health is a parsed HEALTH reply.
-type Health struct {
-	Status        string // "ok", "degraded", or "needs-recovery"
-	Ready         bool
-	Degraded      bool
-	NeedsRecovery bool
-	Journaled     bool
-	// OpenBreakers is how many shard circuit breakers are currently not
-	// closed (0 on unsharded or breaker-less deployments).
-	OpenBreakers int
-	// ReplayedShards is how many shards the most recent RECOVER on this
-	// server actually replayed batches into (0 before any RECOVER).
-	ReplayedShards int
-}
-
-// Health fetches the server's health state.
-func (c *Client) Health() (Health, error) {
-	var h Health
-	err := c.do(func() error {
-		h = Health{}
-		fmt.Fprintln(c.w, "HEALTH")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		body, err := c.expectOK()
-		if err != nil {
-			return err
-		}
-		f := strings.Fields(body)
-		if len(f) < 5 {
-			return fmt.Errorf("server: bad HEALTH reply %q", body)
-		}
-		h.Status = f[0]
-		for _, kv := range f[1:] {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return fmt.Errorf("server: bad HEALTH field %q in %q", kv, body)
-			}
-			switch k {
-			case "ready":
-				h.Ready = v == "true"
-			case "degraded":
-				h.Degraded = v == "true"
-			case "needsRecovery":
-				h.NeedsRecovery = v == "true"
-			case "journaled":
-				h.Journaled = v == "true"
-			case "openBreakers":
-				h.OpenBreakers, _ = strconv.Atoi(v)
-			case "replayedShards":
-				h.ReplayedShards, _ = strconv.Atoi(v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return Health{}, err
-	}
-	return h, nil
-}
-
 // RecoverResult is a parsed RECOVER reply.
 type RecoverResult struct {
 	CheckpointDay int
@@ -697,239 +635,48 @@ func (c *Client) Recover() (RecoverResult, error) {
 	return r, nil
 }
 
-// Stats returns the server's raw STATS reply.
-func (c *Client) Stats() (string, error) {
-	var body string
-	err := c.do(func() error {
-		fmt.Fprintln(c.w, "STATS")
+// Info fetches one INFO section — health, stats, metrics, shards,
+// cache, events, slo, slowlog or work — and decodes its JSON document
+// into v as json.Unmarshal would. args are the section's k=v
+// parameters (events takes since=<seq> and max=<n>). The documents'
+// Go types are telemetry.Health, wave.Stats, metrics.Snapshot,
+// telemetry.Shards, wave.CacheInfo, telemetry.EventsPage, obs.Report,
+// []wave.SlowQuery and []wave.CauseStats.
+func (c *Client) Info(section string, v any, args ...string) error {
+	cmd := strings.Join(append([]string{"INFO", section}, args...), " ")
+	return c.do(func() error {
+		fmt.Fprintln(c.w, cmd)
 		if err := c.w.Flush(); err != nil {
 			return &TransportError{Err: err}
 		}
-		var err error
-		body, err = c.expectOK()
-		return err
-	})
-	return body, err
-}
-
-// HistogramRow is one METRICS histogram line: observation count, sum,
-// extremes, and bucket-granularity quantiles, all in the histogram's
-// native unit (microseconds for latency histograms).
-type HistogramRow struct {
-	Name               string
-	Count, Sum         int64
-	Min, Max           int64
-	P50, P90, P95, P99 int64
-}
-
-// Metrics is a parsed METRICS reply.
-type Metrics struct {
-	Counters   map[string]int64
-	Gauges     map[string]int64
-	Histograms []HistogramRow
-}
-
-// Histogram returns the named histogram row (zero row if absent).
-func (m Metrics) Histogram(name string) HistogramRow {
-	for _, h := range m.Histograms {
-		if h.Name == name {
-			return h
-		}
-	}
-	return HistogramRow{}
-}
-
-// Metrics fetches the server's metrics snapshot.
-func (c *Client) Metrics() (Metrics, error) {
-	var m Metrics
-	err := c.do(func() error {
-		m = Metrics{Counters: map[string]int64{}, Gauges: map[string]int64{}}
-		fmt.Fprintln(c.w, "METRICS")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		seen := 0
-		for {
+		var doc []byte
+		for n := 0; ; n++ {
 			line, err := c.readLine()
 			if err != nil {
 				return err
 			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) == 3 && f[0] == "COUNTER":
-				v, _ := strconv.ParseInt(f[2], 10, 64)
-				m.Counters[f[1]] = v
-				seen++
-			case len(f) == 3 && f[0] == "GAUGE":
-				v, _ := strconv.ParseInt(f[2], 10, 64)
-				m.Gauges[f[1]] = v
-				seen++
-			case len(f) == 10 && f[0] == "HIST":
-				var vs [8]int64
-				for i := range vs {
-					vs[i], _ = strconv.ParseInt(f[i+2], 10, 64)
+			if rest, ok := strings.CutPrefix(line, "END "); ok {
+				if want, err := strconv.Atoi(rest); err != nil || want != n {
+					return &TransportError{Err: fmt.Errorf("INFO %s ended after %d lines with %q", section, n, line)}
 				}
-				m.Histograms = append(m.Histograms, HistogramRow{
-					Name: f[1], Count: vs[0], Sum: vs[1], Min: vs[2], Max: vs[3],
-					P50: vs[4], P90: vs[5], P95: vs[6], P99: vs[7],
-				})
-				seen++
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != seen {
-					return &TransportError{Err: fmt.Errorf("metrics ended with %d rows, header said %d", seen, want)}
+				if err := json.Unmarshal(doc, v); err != nil {
+					return fmt.Errorf("server: INFO %s: %w", section, err)
 				}
 				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
 			}
+			if n == 0 {
+				if msg, ok := strings.CutPrefix(line, "ERR "); ok {
+					return parseWireErr(msg)
+				}
+				// A document opens with '{', '[' or null; anything else
+				// means the stream is out of step.
+				if line == "" || !strings.Contains("{[n", line[:1]) {
+					return &TransportError{Err: fmt.Errorf("unexpected reply %q", line)}
+				}
+			}
+			doc = append(append(doc, line...), '\n')
 		}
 	})
-	if err != nil {
-		return Metrics{Counters: map[string]int64{}, Gauges: map[string]int64{}}, err
-	}
-	return m, nil
-}
-
-// Cache fetches the server's caching-tier snapshot: block buffer pool
-// and result cache counters plus the current constituent generations.
-func (c *Client) Cache() (wave.CacheInfo, error) {
-	var ci wave.CacheInfo
-	err := c.do(func() error {
-		ci = wave.CacheInfo{}
-		fmt.Fprintln(c.w, "CACHE")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		seen := 0
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			i64 := func(s string) int64 { v, _ := strconv.ParseInt(s, 10, 64); return v }
-			switch {
-			case len(f) == 8 && f[0] == "BLOCKS":
-				ci.BlocksEnabled = f[1] == "1"
-				ci.Blocks.Hits = i64(f[2])
-				ci.Blocks.Misses = i64(f[3])
-				ci.Blocks.Evictions = i64(f[4])
-				ci.Blocks.Resident = int(i64(f[5]))
-				ci.Blocks.SavedSeeks = i64(f[6])
-				ci.Blocks.SavedSimTime = time.Duration(i64(f[7])) * time.Microsecond
-				seen++
-			case len(f) == 9 && f[0] == "RESULTS":
-				ci.ResultsEnabled = f[1] == "1"
-				ci.Results.Hits = i64(f[2])
-				ci.Results.Misses = i64(f[3])
-				ci.Results.Evictions = i64(f[4])
-				ci.Results.Invalidated = i64(f[5])
-				ci.Results.Entries = i64(f[6])
-				ci.Results.CostUsed = i64(f[7])
-				ci.Results.CostCap = i64(f[8])
-				seen++
-			case len(f) == 3 && f[0] == "GEN":
-				g, _ := strconv.ParseUint(f[2], 10, 64)
-				ci.Generations = append(ci.Generations, g)
-				seen++
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != seen {
-					return &TransportError{Err: fmt.Errorf("cache ended with %d rows, header said %d", seen, want)}
-				}
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return wave.CacheInfo{}, err
-	}
-	return ci, nil
-}
-
-// SlowLogEntry is one parsed SLOWLOG row. Seeks, BytesRead,
-// BytesWritten and DiskUS are the simulated-disk work the query itself
-// performed (DiskUS in simulated microseconds); TraceID is the wire
-// trace id active when the query ran, if any. Shard is the 0-based
-// shard that served the query (0 on an unsharded server).
-type SlowLogEntry struct {
-	Kind         string
-	Shard        int
-	From, To     int
-	Keys         int
-	Entries      int
-	DurationUS   int64
-	Seeks        int64
-	BytesRead    int64
-	BytesWritten int64
-	DiskUS       int64
-	TraceID      string
-	Key          string
-	Err          string
-}
-
-// SlowLog fetches the server's slow-query log, most recent first.
-func (c *Client) SlowLog() ([]SlowLogEntry, error) {
-	var out []SlowLogEntry
-	err := c.do(func() error {
-		out = nil
-		fmt.Fprintln(c.w, "SLOWLOG")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) >= 14 && f[0] == "SLOW":
-				e := SlowLogEntry{Kind: f[1]}
-				e.Shard, _ = strconv.Atoi(f[2])
-				e.From, _ = strconv.Atoi(f[3])
-				e.To, _ = strconv.Atoi(f[4])
-				e.Keys, _ = strconv.Atoi(f[5])
-				e.Entries, _ = strconv.Atoi(f[6])
-				e.DurationUS, _ = strconv.ParseInt(f[7], 10, 64)
-				e.Seeks, _ = strconv.ParseInt(f[8], 10, 64)
-				e.BytesRead, _ = strconv.ParseInt(f[9], 10, 64)
-				e.BytesWritten, _ = strconv.ParseInt(f[10], 10, 64)
-				e.DiskUS, _ = strconv.ParseInt(f[11], 10, 64)
-				if f[12] != "-" {
-					e.TraceID = f[12]
-				}
-				if f[13] != "-" {
-					e.Key = f[13]
-				}
-				if len(f) > 14 {
-					e.Err = strings.Join(f[14:], " ")
-				}
-				out = append(out, e)
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != len(out) {
-					return &TransportError{Err: fmt.Errorf("slowlog ended with %d rows, header said %d", len(out), want)}
-				}
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SetSlowLogThreshold sets the server's slow-query threshold in
@@ -977,276 +724,4 @@ func (c *Client) ClearTrace() error {
 		c.traceID = ""
 	}
 	return err
-}
-
-// WorkRow is one parsed WORK row: the simulated-disk work attributed
-// to one cause across the index's stores (SimUS in simulated
-// microseconds).
-type WorkRow struct {
-	Cause        string
-	Seeks        int64
-	BytesRead    int64
-	BytesWritten int64
-	SimUS        int64
-}
-
-// EventsPage is one EVENTS reply: a slice of the server's event
-// timeline plus the resume cursor. Pass Last back as the next call's
-// since to continue where this page ended; Dropped > 0 means the
-// cursor had fallen behind the server's ring and that many events
-// were lost before the first one returned.
-type EventsPage struct {
-	Events  []obs.Event
-	Last    uint64
-	Dropped uint64
-}
-
-// Events fetches the server's event timeline after the since cursor
-// (0 for everything retained). max > 0 caps the page size; Last still
-// resumes correctly after a truncated page.
-func (c *Client) Events(since uint64, max int) (EventsPage, error) {
-	var page EventsPage
-	err := c.do(func() error {
-		page = EventsPage{}
-		cmd := fmt.Sprintf("EVENTS since=%d", since)
-		if max > 0 {
-			cmd += fmt.Sprintf(" max=%d", max)
-		}
-		fmt.Fprintln(c.w, cmd)
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) >= 5 && f[0] == "EVENT":
-				ev, err := obs.ParseWireEvent(f[1:])
-				if err != nil {
-					return &TransportError{Err: fmt.Errorf("bad event line %q: %w", line, err)}
-				}
-				page.Events = append(page.Events, ev)
-			case len(f) == 4 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != len(page.Events) {
-					return &TransportError{Err: fmt.Errorf("events ended with %d rows, header said %d", len(page.Events), want)}
-				}
-				page.Last, _ = strconv.ParseUint(strings.TrimPrefix(f[2], "last="), 10, 64)
-				page.Dropped, _ = strconv.ParseUint(strings.TrimPrefix(f[3], "dropped="), 10, 64)
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return EventsPage{}, err
-	}
-	return page, nil
-}
-
-// SLO fetches the server's SLO report: objectives plus per-command
-// windowed RED stats and burn rates.
-func (c *Client) SLO() (obs.Report, error) {
-	var rep obs.Report
-	err := c.do(func() error {
-		rep = obs.Report{}
-		fmt.Fprintln(c.w, "SLO")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		rows := 0
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) == 5 && f[0] == "OBJ":
-				for _, kv := range f[1:] {
-					k, v, _ := strings.Cut(kv, "=")
-					switch k {
-					case "availability":
-						rep.Objectives.Availability, _ = strconv.ParseFloat(v, 64)
-					case "quantile":
-						rep.Objectives.LatencyQuantile, _ = strconv.ParseFloat(v, 64)
-					case "latencyus":
-						rep.Objectives.LatencyUS, _ = strconv.ParseInt(v, 10, 64)
-					case "burnalert":
-						rep.Objectives.BurnAlert, _ = strconv.ParseFloat(v, 64)
-					}
-				}
-			case len(f) == 9 && f[0] == "SLO":
-				w := obs.WindowStats{Window: f[2]}
-				w.RateMilli, _ = strconv.ParseInt(f[3], 10, 64)
-				w.ErrMilli, _ = strconv.ParseInt(f[4], 10, 64)
-				w.SlowMilli, _ = strconv.ParseInt(f[5], 10, 64)
-				w.QuantileUS, _ = strconv.ParseInt(f[6], 10, 64)
-				w.BurnMilli, _ = strconv.ParseInt(f[7], 10, 64)
-				w.Alerting = f[8] == "1"
-				if n := len(rep.Commands); n == 0 || rep.Commands[n-1].Cmd != f[1] {
-					rep.Commands = append(rep.Commands, obs.CommandSLO{Cmd: f[1]})
-				}
-				cs := &rep.Commands[len(rep.Commands)-1]
-				cs.Windows = append(cs.Windows, w)
-				rows++
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != rows {
-					return &TransportError{Err: fmt.Errorf("slo ended with %d rows, header said %d", rows, want)}
-				}
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return obs.Report{}, err
-	}
-	return rep, nil
-}
-
-// ShardMetrics is one shard's slice of a METRICS SHARDS reply. The
-// breaker fields are empty/zero on servers without shard breakers.
-type ShardMetrics struct {
-	Shard           int
-	Metrics         Metrics
-	BreakerState    string
-	BreakerFailures int
-}
-
-// ShardMetrics fetches per-shard metrics snapshots plus breaker
-// positions (METRICS SHARDS). An unsharded server reports one slice as
-// shard 0.
-func (c *Client) ShardMetrics() ([]ShardMetrics, error) {
-	var out []ShardMetrics
-	err := c.do(func() error {
-		out = nil
-		byShard := map[int]*ShardMetrics{}
-		get := func(i int) *ShardMetrics {
-			if sm, ok := byShard[i]; ok {
-				return sm
-			}
-			sm := &ShardMetrics{Shard: i, Metrics: Metrics{Counters: map[string]int64{}, Gauges: map[string]int64{}}}
-			byShard[i] = sm
-			return sm
-		}
-		fmt.Fprintln(c.w, "METRICS SHARDS")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		seen := 0
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) >= 4 && f[0] == "SHARD":
-				shard, err := strconv.Atoi(f[1])
-				if err != nil {
-					return &TransportError{Err: fmt.Errorf("bad shard line %q", line)}
-				}
-				sm := get(shard)
-				switch {
-				case len(f) == 5 && f[2] == "COUNTER":
-					v, _ := strconv.ParseInt(f[4], 10, 64)
-					sm.Metrics.Counters[f[3]] = v
-				case len(f) == 5 && f[2] == "GAUGE":
-					v, _ := strconv.ParseInt(f[4], 10, 64)
-					sm.Metrics.Gauges[f[3]] = v
-				case len(f) == 12 && f[2] == "HIST":
-					var vs [8]int64
-					for i := range vs {
-						vs[i], _ = strconv.ParseInt(f[i+4], 10, 64)
-					}
-					sm.Metrics.Histograms = append(sm.Metrics.Histograms, HistogramRow{
-						Name: f[3], Count: vs[0], Sum: vs[1], Min: vs[2], Max: vs[3],
-						P50: vs[4], P90: vs[5], P95: vs[6], P99: vs[7],
-					})
-				case len(f) == 5 && f[2] == "BREAKER":
-					sm.BreakerState = f[3]
-					sm.BreakerFailures, _ = strconv.Atoi(f[4])
-				default:
-					return &TransportError{Err: fmt.Errorf("bad shard line %q", line)}
-				}
-				seen++
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != seen {
-					return &TransportError{Err: fmt.Errorf("shard metrics ended with %d rows, header said %d", seen, want)}
-				}
-				shards := make([]int, 0, len(byShard))
-				for i := range byShard {
-					shards = append(shards, i)
-				}
-				sort.Ints(shards)
-				for _, i := range shards {
-					out = append(out, *byShard[i])
-				}
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Work fetches the server's work ledger: per-cause simulated-disk
-// totals split across query, transition, checkpoint, and recovery.
-func (c *Client) Work() ([]WorkRow, error) {
-	var out []WorkRow
-	err := c.do(func() error {
-		out = nil
-		fmt.Fprintln(c.w, "WORK")
-		if err := c.w.Flush(); err != nil {
-			return &TransportError{Err: err}
-		}
-		for {
-			line, err := c.readLine()
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			switch {
-			case len(f) == 6 && f[0] == "WORK":
-				r := WorkRow{Cause: f[1]}
-				r.Seeks, _ = strconv.ParseInt(f[2], 10, 64)
-				r.BytesRead, _ = strconv.ParseInt(f[3], 10, 64)
-				r.BytesWritten, _ = strconv.ParseInt(f[4], 10, 64)
-				r.SimUS, _ = strconv.ParseInt(f[5], 10, 64)
-				out = append(out, r)
-			case len(f) == 2 && f[0] == "END":
-				want, _ := strconv.Atoi(f[1])
-				if want != len(out) {
-					return &TransportError{Err: fmt.Errorf("work ended with %d rows, header said %d", len(out), want)}
-				}
-				return nil
-			case strings.HasPrefix(line, "ERR "):
-				return parseWireErr(strings.TrimPrefix(line, "ERR "))
-			default:
-				return &TransportError{Err: fmt.Errorf("unexpected line %q", line)}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"waveindex/internal/metrics"
 	"waveindex/internal/netfault"
 	"waveindex/internal/simdisk"
+	"waveindex/internal/telemetry"
 	"waveindex/wave"
 	"waveindex/wave/shard"
 )
@@ -218,11 +220,11 @@ func TestNetChaosSoak(t *testing.T) {
 	if n != 6*soakNumKeys {
 		t.Fatalf("post-torn-ack Count = %d, want %d (a day applied twice or dropped)", n, 6*soakNumKeys)
 	}
-	m, err := loader.Metrics()
-	if err != nil {
+	var m metrics.Snapshot
+	if err := loader.Info("metrics", &m); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counters["server_addday_dedup_total"]; got != 2 {
+	if got := m.Counter("server_addday_dedup_total"); got != 2 {
 		t.Errorf("server_addday_dedup_total = %d, want 2", got)
 	}
 
@@ -239,8 +241,8 @@ func TestNetChaosSoak(t *testing.T) {
 	from, to := f.window()
 	for i := 0; i < 50; i++ {
 		tripper.ProbeRange(soakKey(brokenKeys[0]), from, to)
-		h, err := tripper.Health()
-		if err != nil {
+		var h telemetry.Health
+		if err := tripper.Info("health", &h); err != nil {
 			t.Fatalf("Health while tripping: %v", err)
 		}
 		if h.OpenBreakers == 1 {
@@ -387,15 +389,15 @@ func TestNetChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RECOVER: %v", err)
 	}
-	h, err := admin.Health()
-	if err != nil {
+	var h telemetry.Health
+	if err := admin.Info("health", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.OpenBreakers != 0 {
 		t.Fatalf("breaker still open after Recover: %+v", h)
 	}
 	if h.ReplayedShards != len(rec.ShardsReplayed) {
-		t.Errorf("HEALTH replayedShards=%d, RECOVER reported %v", h.ReplayedShards, rec.ShardsReplayed)
+		t.Errorf("INFO health replayedShards=%d, RECOVER reported %v", h.ReplayedShards, rec.ShardsReplayed)
 	}
 	n, err = admin.Count(0, 0)
 	if err != nil {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"waveindex/internal/obs"
+	"waveindex/internal/telemetry"
 	"waveindex/wave"
 	"waveindex/wave/shard"
 )
@@ -38,6 +40,13 @@ func startObsServer(t *testing.T, b Backend, opts Options) (*Client, *obs.Bus) {
 	return c, bus
 }
 
+// infoEvents pages INFO events after since, capped at max when positive.
+func infoEvents(c *Client, since uint64, max int) (telemetry.EventsPage, error) {
+	var page telemetry.EventsPage
+	err := c.Info("events", &page, fmt.Sprintf("since=%d", since), fmt.Sprintf("max=%d", max))
+	return page, err
+}
+
 func obsIndex(t *testing.T) *wave.Index {
 	t.Helper()
 	idx, err := wave.New(wave.Config{Window: 4, Indexes: 2, Scheme: wave.REINDEX})
@@ -52,7 +61,7 @@ func TestEventsCommandPagingAndCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bus.Publish(obs.Event{Type: obs.EventShed, Shard: -1, Cmd: "probe"})
 	}
-	page, err := c.Events(0, 0)
+	page, err := infoEvents(c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +78,7 @@ func TestEventsCommandPagingAndCursor(t *testing.T) {
 		}
 	}
 	// Cursor resume: everything after seq 3.
-	page, err = c.Events(3, 0)
+	page, err = infoEvents(c, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +87,14 @@ func TestEventsCommandPagingAndCursor(t *testing.T) {
 			len(page.Events), page.Events[0].Seq)
 	}
 	// max= truncation keeps Last resumable.
-	page, err = c.Events(0, 2)
+	page, err = infoEvents(c, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page.Events) != 2 || page.Last != 2 {
 		t.Fatalf("Events(0,2) = %d events last=%d, want 2/2", len(page.Events), page.Last)
 	}
-	if page, err = c.Events(page.Last, 0); err != nil || len(page.Events) != 3 {
+	if page, err = infoEvents(c, page.Last, 0); err != nil || len(page.Events) != 3 {
 		t.Fatalf("resume after truncation = %d events (%v), want 3", len(page.Events), err)
 	}
 }
@@ -100,7 +109,7 @@ func TestEventsCommandRingWrap(t *testing.T) {
 	for i := 0; i < published; i++ {
 		bus.Publish(obs.Event{Type: obs.EventShed, Shard: -1, Cmd: "probe"})
 	}
-	page, err := c.Events(0, 0)
+	page, err := infoEvents(c, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +122,7 @@ func TestEventsCommandRingWrap(t *testing.T) {
 			page.Events[0].Seq, page.Events[len(page.Events)-1].Seq, published)
 	}
 	// A cursor inside the dropped region is charged only for its gap.
-	page, err = c.Events(10, 0)
+	page, err = infoEvents(c, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestEventsCommandRingWrap(t *testing.T) {
 			page.Dropped, page.Events[0].Seq)
 	}
 	// A cursor already past the drop horizon loses nothing.
-	page, err = c.Events(100, 0)
+	page, err = infoEvents(c, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +151,7 @@ func TestEventsCommandClampsStaleCursor(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bus.Publish(obs.Event{Type: obs.EventShed, Shard: -1, Cmd: "probe"})
 	}
-	page, err := c.Events(1<<40, 0)
+	page, err := infoEvents(c, 1<<40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +161,7 @@ func TestEventsCommandClampsStaleCursor(t *testing.T) {
 	}
 	// The clamped cursor resumes the live stream.
 	bus.Publish(obs.Event{Type: obs.EventShed, Shard: -1, Cmd: "count"})
-	page, err = c.Events(page.Last, 0)
+	page, err = infoEvents(c, page.Last, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +184,8 @@ func TestEventsCommandWithoutBusErrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Events(0, 0); err == nil {
-		t.Fatal("EVENTS without a bus should error")
+	if _, err := infoEvents(c, 0, 0); err == nil {
+		t.Fatal("INFO events without a bus should error")
 	}
 }
 
@@ -192,8 +201,8 @@ func TestSLOCommandReportsTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := c.SLO()
-	if err != nil {
+	var rep obs.Report
+	if err := c.Info("slo", &rep); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Objectives.Availability != 0.999 || rep.Objectives.BurnAlert != 2 {
@@ -242,24 +251,20 @@ func TestShardMetricsCommand(t *testing.T) {
 	if _, err := c.Probe("k1"); err != nil {
 		t.Fatal(err)
 	}
-	sms, err := c.ShardMetrics()
-	if err != nil {
+	var doc telemetry.Shards
+	if err := c.Info("shards", &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(sms) != 3 {
-		t.Fatalf("ShardMetrics returned %d shards, want 3", len(sms))
+	if len(doc.Shards) != 3 || len(doc.Breakers) != 3 {
+		t.Fatalf("INFO shards returned %d shards and %d breakers, want 3/3",
+			len(doc.Shards), len(doc.Breakers))
 	}
-	for i, sm := range sms {
-		if sm.Shard != i {
-			t.Fatalf("shard %d reported as %d", i, sm.Shard)
+	for i, m := range doc.Shards {
+		if got := m.Counter("ingest_days_total"); got != 5 {
+			t.Errorf("shard %d ingest_days_total = %d, want 5", i, got)
 		}
-		if sm.Metrics.Counters["ingest_days_total"] != 5 {
-			t.Errorf("shard %d ingest_days_total = %d, want 5",
-				i, sm.Metrics.Counters["ingest_days_total"])
-		}
-		if sm.BreakerState != "closed" || sm.BreakerFailures != 0 {
-			t.Errorf("shard %d breaker = %s/%d, want closed/0",
-				i, sm.BreakerState, sm.BreakerFailures)
+		if b := doc.Breakers[i]; b.Shard != i || b.State != "closed" || b.Failures != 0 {
+			t.Errorf("shard %d breaker = %+v, want closed/0", i, b)
 		}
 	}
 }
@@ -269,19 +274,19 @@ func TestShardMetricsUnshardedFallback(t *testing.T) {
 	if err := c.AddDay(1, postingsFor(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	sms, err := c.ShardMetrics()
-	if err != nil {
+	var doc telemetry.Shards
+	if err := c.Info("shards", &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(sms) != 1 || sms[0].Shard != 0 {
-		t.Fatalf("unsharded ShardMetrics = %+v, want one shard-0 slice", sms)
+	if len(doc.Shards) != 1 || doc.Shards[0].Counter("ingest_days_total") != 1 {
+		t.Fatalf("unsharded INFO shards = %+v, want one shard-0 snapshot", doc.Shards)
 	}
-	if sms[0].BreakerState != "" {
-		t.Errorf("unsharded breaker state = %q, want empty", sms[0].BreakerState)
+	if len(doc.Breakers) != 0 {
+		t.Errorf("unsharded breakers = %+v, want none", doc.Breakers)
 	}
 }
 
-// TestSlowLogCarriesShard checks the SLOWLOG wire rows carry the
+// TestSlowLogCarriesShard checks the INFO slowlog rows carry the
 // 0-based shard from the router's merged log, and that entries from
 // different shards interleave by recency.
 func TestSlowLogCarriesShard(t *testing.T) {
@@ -300,8 +305,8 @@ func TestSlowLogCarriesShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	log, err := c.SlowLog()
-	if err != nil {
+	var log []wave.SlowQuery
+	if err := c.Info("slowlog", &log); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) < 3 {

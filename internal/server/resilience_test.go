@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"waveindex/internal/metrics"
 	"waveindex/internal/netfault"
 	"waveindex/wave"
 )
@@ -204,7 +205,7 @@ func TestClientConnClosedBeforeReply(t *testing.T) {
 // error out, not hang or silently truncate.
 func TestClientOversizedReplyLine(t *testing.T) {
 	addr := scriptServer(t, func(conn net.Conn, sc *bufio.Scanner) {
-		sc.Scan() // STATS
+		sc.Scan() // INFO stats
 		conn.Write([]byte("OK " + strings.Repeat("x", 2<<20) + "\n"))
 		sc.Scan()
 	})
@@ -213,13 +214,14 @@ func TestClientOversizedReplyLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Stats()
+	var st wave.Stats
+	err = c.Info("stats", &st)
 	var tr *TransportError
 	if !errors.As(err, &tr) {
-		t.Fatalf("Stats error = %v, want *TransportError", err)
+		t.Fatalf("Info error = %v, want *TransportError", err)
 	}
 	if !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("Stats error = %v, want to wrap bufio.ErrTooLong", err)
+		t.Errorf("Info error = %v, want to wrap bufio.ErrTooLong", err)
 	}
 }
 
@@ -307,11 +309,11 @@ func TestClientAddDayIdempotentRetry(t *testing.T) {
 	if n != 4*6 { // window holds days 2..5, 6 postings each
 		t.Fatalf("Count = %d, want 24 (day applied twice?)", n)
 	}
-	m, err := c.Metrics()
-	if err != nil {
+	var m metrics.Snapshot
+	if err := c.Info("metrics", &m); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counters["server_addday_dedup_total"]; got != 1 {
+	if got := m.Counter("server_addday_dedup_total"); got != 1 {
 		t.Errorf("server_addday_dedup_total = %d, want 1", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"waveindex/internal/telemetry"
 	"waveindex/wave"
 )
 
@@ -150,11 +151,11 @@ func TestBatchCap(t *testing.T) {
 	}
 }
 
-// HEALTH works on a plain index; RECOVER requires a journal.
+// INFO health works on a plain index; RECOVER requires a journal.
 func TestHealthPlainIndex(t *testing.T) {
 	c, _ := startServer(t, wave.Config{Window: 3, Indexes: 2, Scheme: wave.REINDEX})
-	h, err := c.Health()
-	if err != nil {
+	var h telemetry.Health
+	if err := c.Info("health", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || h.Ready || h.Degraded || h.NeedsRecovery || h.Journaled {
@@ -168,7 +169,7 @@ func TestHealthPlainIndex(t *testing.T) {
 	}
 }
 
-// A journaled server ingests through the journal, answers HEALTH, and
+// A journaled server ingests through the journal, answers INFO health, and
 // RECOVER rebuilds an equivalent index that keeps serving.
 func TestJournaledServerRecover(t *testing.T) {
 	cfg := wave.Config{Window: 4, Indexes: 2, Scheme: wave.REINDEXPlus}
@@ -202,8 +203,8 @@ func TestJournaledServerRecover(t *testing.T) {
 			t.Fatalf("day %d: %v", day, err)
 		}
 	}
-	h, err := c.Health()
-	if err != nil {
+	var h telemetry.Health
+	if err := c.Info("health", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.Status != "ok" || !h.Ready || !h.Journaled {

@@ -20,16 +20,8 @@
 //	COUNT [<from> <to>]         count window entries (optionally ranged)
 //	TOPK <k>                    k most frequent keys in the window
 //	WINDOW                      current window bounds
-//	STATS                       scheme, days indexed, storage bytes
-//	METRICS                     metrics snapshot (fleet rollup)
-//	METRICS SHARDS              per-shard snapshots + breaker positions
-//	CACHE                       caching-tier snapshot: block buffer pool,
-//	                            result cache, constituent generations
-//	EVENTS [since=<seq>] [max=<n>]  replay the event timeline after seq
-//	SLO                         per-command SLO windows and burn rates
-//	SLOWLOG                     slow-query log, most recent first
+//	INFO <section> [k=v ...]    one observability document (see below)
 //	SLOWLOG <ms>                set the slow-query threshold (0 disables)
-//	WORK                        per-cause disk work ledger
 //	TRACE <id>                  stamp this connection's queries with id
 //	TRACE [-]                   clear the connection's trace ID
 //	PARTIAL on|off              opt this connection's queries into
@@ -37,7 +29,6 @@
 //	                            behind an open shard breaker are skipped
 //	                            and announced as DEGRADED lines instead
 //	                            of failing the query
-//	HEALTH                      readiness, degradation, recovery state
 //	RECOVER                     run the journal recovery protocol
 //	QUIT                        close the connection
 //
@@ -46,26 +37,20 @@
 // TOPK streams "KEY <key> <count>" lines terminated by "END <k>".
 // MPROBE streams, per distinct key in ascending order, one
 // "KEY <key> <count>" line followed by that key's ENTRY lines, all
-// terminated by "END <nkeys>". METRICS streams "COUNTER <name> <v>",
-// "GAUGE <name> <v>", and
-// "HIST <name> <count> <sum> <min> <max> <p50> <p90> <p95> <p99>" lines
-// (histograms in microseconds), terminated by "END <n>". METRICS SHARDS
-// streams the same record shapes prefixed "SHARD <i>", plus one
-// "SHARD <i> BREAKER <state> <failures>" line per shard when breakers
-// run. SLOWLOG streams
-// "SLOW <kind> <shard> <from> <to> <keys> <entries> <us> <seeks>
-// <bytesRead> <bytesWritten> <diskus> <trace|-> <key|-> [err]" lines
-// terminated by "END <n>". WORK streams
-// "WORK <cause> <seeks> <bytesRead> <bytesWritten> <simus>" lines
-// terminated by "END <n>". EVENTS streams
-// "EVENT <seq> <unix_us> <type> <shard> [k=v ...]" lines terminated by
-// "END <n> last=<seq> dropped=<d>"; CACHE streams
-// "BLOCKS <on> <hits> <misses> <evictions> <resident> <savedSeeks> <savedSimUs>",
-// "RESULTS <on> <hits> <misses> <evictions> <invalidated> <entries> <costUsed> <costCap>",
-// and one "GEN <i> <generation>" line per wave slot, terminated by
-// "END <n>"; SLO streams one "OBJ ..." line and
-// "SLO <cmd> <window> <rateMilli> <errMilli> <slowMilli> <quantileUs>
-// <burnMilli> <alerting>" lines terminated by "END <n>".
+// terminated by "END <nkeys>".
+//
+// INFO answers with a JSON document, two-space indented, one JSON line
+// per wire line, terminated by "END <nlines>". The sections are health
+// (readiness, degradation, recovery state), stats (wave.Stats), metrics
+// (the fleet metrics snapshot; clients compute quantiles from its
+// buckets), shards (per-shard snapshots plus breaker positions), cache
+// (wave.CacheInfo), events (the event timeline after since=<seq>, at
+// most max=<n> events; pass the reply's last back as since= to
+// resume), slo (per-command SLO windows and burn rates), slowlog
+// (wave.SlowQuery rows, most recent first) and work (the per-cause
+// disk work ledger). Health, slo, cache and events are byte for byte
+// the bodies of the admin server's /healthz, /slo, /cache and /events:
+// both are built and encoded by internal/telemetry.
 //
 // Under PARTIAL on, query replies are preceded by zero or more
 // "DEGRADED <shard> <shards> <cause>" lines naming the keyspace slices
@@ -84,18 +69,22 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"waveindex/internal/metrics"
 	"waveindex/internal/obs"
+	"waveindex/internal/telemetry"
 	"waveindex/wave"
 	"waveindex/wave/shard"
 )
@@ -136,11 +125,11 @@ type Options struct {
 	RetryAfter time.Duration
 	// Events, when set, is the fleet event bus: the server publishes
 	// admission sheds, unavailable replies, and degraded slices onto
-	// it, and serves the timeline over the EVENTS command. Nil
-	// disables both (EVENTS answers ERR).
+	// it, and serves the timeline as INFO events. Nil disables both
+	// (INFO events answers ERR).
 	Events *obs.Bus
 	// SLO, when set, receives one Record per query and ingest command
-	// and is served over the SLO command. Nil disables both.
+	// and is served as INFO slo. Nil disables both.
 	SLO *obs.Engine
 }
 
@@ -195,10 +184,11 @@ type Server struct {
 
 	lim    *limiter          // admission control; nil = unlimited
 	dedupe *dedupeCache      // applied ADDDAY request IDs → cached replies
-	reg    *metrics.Registry // wire-level counters, merged into METRICS
+	reg    *metrics.Registry // wire-level counters, merged into INFO metrics
+	admin  telemetry.Options // the INFO document hooks (see AdminOptions)
 
-	mu           sync.Mutex // serialises AddDay and Recover; queries need no lock
-	lastReplayed int        // shard count of the most recent RECOVER (under mu)
+	mu           sync.Mutex   // serialises AddDay and Recover; queries need no lock
+	lastReplayed atomic.Int64 // shard count of the most recent RECOVER
 	closed       chan struct{}
 	wg           sync.WaitGroup
 
@@ -218,7 +208,7 @@ func NewWithOptions(idx *wave.Index, opts Options) *Server {
 }
 
 // NewJournaled serves a journaled index: ADDDAY runs through the
-// transition journal, HEALTH reports recovery state, and RECOVER runs
+// transition journal, INFO health reports recovery state, and RECOVER runs
 // the recovery protocol. Queries always go to the journal's current
 // index, which recovery may replace.
 func NewJournaled(j *wave.Journaled, opts Options) *Server {
@@ -228,7 +218,7 @@ func NewJournaled(j *wave.Journaled, opts Options) *Server {
 // NewBackend serves any Backend — plain, journaled, or sharded.
 func NewBackend(b Backend, opts Options) *Server {
 	opts = opts.withDefaults()
-	return &Server{
+	s := &Server{
 		b:      b,
 		opts:   opts,
 		lim:    newLimiter(opts.MaxInFlight, opts.AdmissionWait),
@@ -237,14 +227,41 @@ func NewBackend(b Backend, opts Options) *Server {
 		closed: make(chan struct{}),
 		conns:  map[net.Conn]struct{}{},
 	}
+	s.admin = telemetry.Options{
+		// The backend's metrics merged with the server's own wire-level
+		// registry (connections, admitted/shed queries, dedupe hits).
+		Metrics: func() metrics.Snapshot { return metrics.Merge(b.Metrics(), s.reg.Snapshot()) },
+		Work:    b.Work,
+		Health:  s.health,
+		Events:  opts.Events,
+	}
+	if opts.SLO != nil {
+		s.admin.SLO = opts.SLO.Report
+	}
+	// Optional capabilities: all three backend shapes carry CacheInfo;
+	// only a shard.Router carries the per-shard views.
+	if cb, ok := b.(interface{ CacheInfo() wave.CacheInfo }); ok {
+		s.admin.Cache = cb.CacheInfo
+	}
+	if sm, ok := b.(interface{ ShardMetrics() []wave.MetricsSnapshot }); ok {
+		s.admin.ShardMetrics = sm.ShardMetrics
+	}
+	if bs, ok := b.(interface{ BreakerStates() []shard.BreakerInfo }); ok {
+		s.admin.Breakers = func() []telemetry.BreakerStatus {
+			var out []telemetry.BreakerStatus
+			for _, bi := range bs.BreakerStates() {
+				out = append(out, telemetry.BreakerStatus{Shard: bi.Shard, State: bi.State.String(), Failures: bi.Failures})
+			}
+			return out
+		}
+	}
+	return s
 }
 
-// MetricsSnapshot is the backend's metrics merged with the server's own
-// wire-level registry (connections, admitted/shed queries, dedupe
-// hits) — what METRICS streams and what admin /metrics should export.
-func (s *Server) MetricsSnapshot() wave.MetricsSnapshot {
-	return metrics.Merge(s.b.Metrics(), s.reg.Snapshot())
-}
+// AdminOptions returns the admin-plane hooks bound to this server —
+// the same ones INFO answers from, so an admin endpoint serves the
+// same bytes as its INFO section. Add a span sink before serving.
+func (s *Server) AdminOptions() telemetry.Options { return s.admin }
 
 // journaled reports whether the backend supports RECOVER.
 func (s *Server) journaled() bool {
@@ -466,31 +483,13 @@ func (s *Server) handle(conn net.Conn) {
 			default:
 				err = errors.New("usage: TRACE [<id>|-]")
 			}
-		case "WORK":
-			s.work(out)
 		case "WINDOW":
 			from, to := s.b.Window()
 			fmt.Fprintf(out, "OK %d %d ready=%v\n", from, to, s.b.Ready())
-		case "STATS":
-			st := s.b.Stats()
-			fmt.Fprintf(out, "OK scheme=%s days=%d bytes=%d window=%d..%d\n",
-				st.Scheme, st.DaysIndexed, st.ConstituentBytes, st.WindowFrom, st.WindowTo)
-		case "METRICS":
-			if len(fields) == 2 && strings.EqualFold(fields[1], "SHARDS") {
-				s.shardMetrics(out)
-			} else {
-				s.metrics(out)
-			}
-		case "CACHE":
-			err = s.cache(out)
-		case "EVENTS":
-			err = s.events(out, fields[1:])
-		case "SLO":
-			err = s.slo(out)
+		case "INFO":
+			err = s.info(out, fields[1:])
 		case "SLOWLOG":
-			err = s.slowlog(out, fields[1:])
-		case "HEALTH":
-			s.health(out)
+			err = s.setSlowThreshold(out, fields[1:])
 		case "RECOVER":
 			err = s.recover(out)
 		default:
@@ -637,28 +636,30 @@ func (s *Server) flushIngest(out *bufio.Writer) error {
 	return nil
 }
 
-// health reports liveness in one line: overall status, readiness, the
+// health builds the health document: overall status, readiness, the
 // two degradation signals queries should care about, how many shard
 // circuit breakers are open, and how many shards the most recent
-// RECOVER actually replayed.
-func (s *Server) health(out *bufio.Writer) {
-	needs, degraded := s.b.NeedsRecovery(), s.b.Degraded()
-	open := 0
+// RECOVER actually replayed. It takes no lock, so a health check never
+// waits behind a running transition.
+func (s *Server) health() telemetry.Health {
+	h := telemetry.Health{
+		Status:         "ok",
+		Ready:          s.b.Ready(),
+		Degraded:       s.b.Degraded(),
+		NeedsRecovery:  s.b.NeedsRecovery(),
+		Journaled:      s.journaled(),
+		ReplayedShards: int(s.lastReplayed.Load()),
+	}
 	if ob, ok := s.b.(interface{ OpenBreakers() []int }); ok {
-		open = len(ob.OpenBreakers())
+		h.OpenBreakers = len(ob.OpenBreakers())
 	}
-	status := "ok"
-	if degraded || open > 0 {
-		status = "degraded"
+	if h.Degraded || h.OpenBreakers > 0 {
+		h.Status = "degraded"
 	}
-	if needs {
-		status = "needs-recovery"
+	if h.NeedsRecovery {
+		h.Status = "needs-recovery"
 	}
-	s.mu.Lock()
-	replayed := s.lastReplayed
-	s.mu.Unlock()
-	fmt.Fprintf(out, "OK %s ready=%v degraded=%v needsRecovery=%v journaled=%v openBreakers=%d replayedShards=%d\n",
-		status, s.b.Ready(), degraded, needs, s.journaled(), open, replayed)
+	return h
 }
 
 func (s *Server) recover(out *bufio.Writer) error {
@@ -669,7 +670,7 @@ func (s *Server) recover(out *bufio.Writer) error {
 	s.mu.Lock()
 	rep, err := rec.Recover()
 	if err == nil {
-		s.lastReplayed = len(rep.ShardsReplayed)
+		s.lastReplayed.Store(int64(len(rep.ShardsReplayed)))
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -781,221 +782,58 @@ func (s *Server) count(ctx context.Context, out *bufio.Writer, args []string) er
 	return nil
 }
 
-func (s *Server) metrics(out *bufio.Writer) {
-	m := s.MetricsSnapshot()
-	n := 0
-	for _, c := range m.Counters {
-		fmt.Fprintf(out, "COUNTER %s %d\n", c.Name, c.Value)
-		n++
+// info writes one INFO section: the document's JSON lines, then
+// "END <nlines>". stats and slowlog come straight from the backend;
+// every other section is built by the admin plane's Document.
+func (s *Server) info(out *bufio.Writer, args []string) error {
+	if len(args) == 0 {
+		return errors.New("usage: INFO <section> [k=v ...]")
 	}
-	for _, g := range m.Gauges {
-		fmt.Fprintf(out, "GAUGE %s %d\n", g.Name, g.Value)
-		n++
-	}
-	for _, h := range m.Histograms {
-		fmt.Fprintf(out, "HIST %s %d %d %d %d %d %d %d %d\n",
-			h.Name, h.Count, h.Sum, h.Min, h.Max,
-			h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.95), h.Quantile(0.99))
-		n++
-	}
-	fmt.Fprintf(out, "END %d\n", n)
-}
-
-// shardMetrics streams per-shard metrics snapshots plus breaker
-// positions: "SHARD <i> COUNTER|GAUGE|HIST ..." lines in the METRICS
-// formats, and one "SHARD <i> BREAKER <state> <failures>" line per
-// shard when the backend runs breakers. An unsharded backend streams
-// its single snapshot as shard 0, so consumers need no special case.
-func (s *Server) shardMetrics(out *bufio.Writer) {
-	var snaps []wave.MetricsSnapshot
-	if sm, ok := s.b.(interface{ ShardMetrics() []wave.MetricsSnapshot }); ok {
-		snaps = sm.ShardMetrics()
-	} else {
-		snaps = []wave.MetricsSnapshot{s.b.Metrics()}
-	}
-	n := 0
-	for i, m := range snaps {
-		for _, c := range m.Counters {
-			fmt.Fprintf(out, "SHARD %d COUNTER %s %d\n", i, c.Name, c.Value)
-			n++
+	params := url.Values{}
+	for _, a := range args[1:] {
+		k, v, ok := strings.Cut(a, "=")
+		if !ok || k == "" {
+			return fmt.Errorf("bad argument %q (want k=v)", a)
 		}
-		for _, g := range m.Gauges {
-			fmt.Fprintf(out, "SHARD %d GAUGE %s %d\n", i, g.Name, g.Value)
-			n++
-		}
-		for _, h := range m.Histograms {
-			fmt.Fprintf(out, "SHARD %d HIST %s %d %d %d %d %d %d %d %d\n",
-				i, h.Name, h.Count, h.Sum, h.Min, h.Max,
-				h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.95), h.Quantile(0.99))
-			n++
-		}
+		params.Set(k, v)
 	}
-	if bs, ok := s.b.(interface{ BreakerStates() []shard.BreakerInfo }); ok {
-		for _, bi := range bs.BreakerStates() {
-			fmt.Fprintf(out, "SHARD %d BREAKER %s %d\n", bi.Shard, bi.State, bi.Failures)
-			n++
-		}
-	}
-	fmt.Fprintf(out, "END %d\n", n)
-}
-
-// events streams the retained event timeline after an optional cursor:
-// "EVENT <seq> <unix_us> <type> <shard> [k=v ...]" lines terminated by
-// "END <n> last=<seq> dropped=<d>". Pass last back as since= to
-// resume; dropped > 0 means the cursor fell behind the ring.
-func (s *Server) events(out *bufio.Writer, args []string) error {
-	if s.opts.Events == nil {
-		return errors.New("EVENTS requires the event bus (start waved with -events)")
-	}
-	var since uint64
-	max := 0
-	for _, a := range args {
-		var err error
-		switch {
-		case strings.HasPrefix(a, "since="):
-			since, err = strconv.ParseUint(a[len("since="):], 10, 64)
-		case strings.HasPrefix(a, "max="):
-			max, err = strconv.Atoi(a[len("max="):])
-		default:
-			return errors.New("usage: EVENTS [since=<seq>] [max=<n>]")
-		}
-		if err != nil {
-			return fmt.Errorf("bad argument %q", a)
-		}
-	}
-	evs, dropped := s.opts.Events.Since(since)
-	if max > 0 && len(evs) > max {
-		evs = evs[:max]
-	}
-	last := since + dropped
-	// A cursor ahead of the bus means the caller outlived a server
-	// restart (the bus renumbers from 1). Echoing the stale cursor back
-	// would wedge the caller forever; hand it the bus's true position so
-	// its next request resyncs.
-	if lastSeq := s.opts.Events.LastSeq(); last > lastSeq {
-		last = lastSeq
-	}
-	for _, ev := range evs {
-		fmt.Fprintln(out, ev.WireLine())
-		last = ev.Seq
-	}
-	fmt.Fprintf(out, "END %d last=%d dropped=%d\n", len(evs), last, dropped)
-	return nil
-}
-
-// cache streams the caching-tier snapshot when the backend carries one:
-// one BLOCKS line (the block buffer pool summed across stores and
-// shards), one RESULTS line (the per-constituent result cache), and one
-// GEN line per wave slot with its current constituent generation.
-func (s *Server) cache(out *bufio.Writer) error {
-	ci, ok := s.backendCacheInfo()
-	if !ok {
-		return errors.New("backend does not expose cache information")
-	}
-	b2i := func(b bool) int {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	n := 2
-	fmt.Fprintf(out, "BLOCKS %d %d %d %d %d %d %d\n",
-		b2i(ci.BlocksEnabled), ci.Blocks.Hits, ci.Blocks.Misses, ci.Blocks.Evictions,
-		ci.Blocks.Resident, ci.Blocks.SavedSeeks, ci.Blocks.SavedSimTime.Microseconds())
-	fmt.Fprintf(out, "RESULTS %d %d %d %d %d %d %d %d\n",
-		b2i(ci.ResultsEnabled), ci.Results.Hits, ci.Results.Misses, ci.Results.Evictions,
-		ci.Results.Invalidated, ci.Results.Entries, ci.Results.CostUsed, ci.Results.CostCap)
-	for i, g := range ci.Generations {
-		fmt.Fprintf(out, "GEN %d %d\n", i, g)
-		n++
-	}
-	fmt.Fprintf(out, "END %d\n", n)
-	return nil
-}
-
-// backendCacheInfo fetches the backend's caching-tier snapshot through
-// the optional-capability interface (all three backend shapes carry it;
-// embedders' custom backends may not).
-func (s *Server) backendCacheInfo() (wave.CacheInfo, bool) {
-	ciB, ok := s.b.(interface{ CacheInfo() wave.CacheInfo })
-	if !ok {
-		return wave.CacheInfo{}, false
-	}
-	return ciB.CacheInfo(), true
-}
-
-// slo streams the SLO report: one "OBJ ..." line with the objectives,
-// then one "SLO <cmd> <window> <rateMilli> <errMilli> <slowMilli>
-// <quantileUs> <burnMilli> <alerting>" line per command×window,
-// terminated by "END <n>".
-func (s *Server) slo(out *bufio.Writer) error {
-	if s.opts.SLO == nil {
-		return errors.New("SLO requires the SLO engine (start waved with -slo)")
-	}
-	rep := s.opts.SLO.Report()
-	o := rep.Objectives
-	fmt.Fprintf(out, "OBJ availability=%g quantile=%g latencyus=%d burnalert=%g\n",
-		o.Availability, o.LatencyQuantile, o.LatencyUS, o.BurnAlert)
-	n := 0
-	for _, c := range rep.Commands {
-		for _, w := range c.Windows {
-			alert := 0
-			if w.Alerting {
-				alert = 1
-			}
-			fmt.Fprintf(out, "SLO %s %s %d %d %d %d %d %d\n",
-				c.Cmd, w.Window, w.RateMilli, w.ErrMilli, w.SlowMilli, w.QuantileUS, w.BurnMilli, alert)
-			n++
-		}
-	}
-	fmt.Fprintf(out, "END %d\n", n)
-	return nil
-}
-
-// work streams the index's per-cause disk work ledger.
-func (s *Server) work(out *bufio.Writer) {
-	rows := s.b.Work()
-	for _, r := range rows {
-		fmt.Fprintf(out, "WORK %s %d %d %d %d\n",
-			r.Cause, r.Seeks, r.BytesRead, r.BytesWritten, r.SimTime.Microseconds())
-	}
-	fmt.Fprintf(out, "END %d\n", len(rows))
-}
-
-func (s *Server) slowlog(out *bufio.Writer, args []string) error {
-	switch len(args) {
-	case 0:
-		log := s.b.SlowQueries()
-		for _, q := range log {
-			key := q.Key
-			if key == "" {
-				key = "-"
-			}
-			trace := q.TraceID
-			if trace == "" {
-				trace = "-"
-			}
-			fmt.Fprintf(out, "SLOW %s %d %d %d %d %d %d %d %d %d %d %s %s", q.Kind, q.Shard, q.From, q.To,
-				q.Keys, q.Entries, q.Duration.Microseconds(),
-				q.Seeks, q.BytesRead, q.BytesWritten, q.DiskTime.Microseconds(), trace, key)
-			if q.Err != "" {
-				fmt.Fprintf(out, " %s", strings.ReplaceAll(q.Err, "\n", " "))
-			}
-			fmt.Fprintln(out)
-		}
-		fmt.Fprintf(out, "END %d\n", len(log))
-		return nil
-	case 1:
-		ms, err := strconv.Atoi(args[0])
-		if err != nil || ms < 0 {
-			return fmt.Errorf("bad threshold %q (milliseconds)", args[0])
-		}
-		s.b.SetSlowQueryThreshold(time.Duration(ms) * time.Millisecond)
-		fmt.Fprintf(out, "OK threshold %dms\n", ms)
-		return nil
+	var doc any
+	var err error
+	switch section := strings.ToLower(args[0]); section {
+	case "stats":
+		doc = s.b.Stats()
+	case "slowlog":
+		doc = s.b.SlowQueries()
 	default:
-		return errors.New("usage: SLOWLOG [<thresholdms>]")
+		doc, err = s.admin.Document(section, params)
 	}
+	var body []byte
+	if err == nil {
+		body, err = telemetry.EncodeDocument(doc)
+	}
+	if err != nil {
+		return err
+	}
+	out.Write(body)
+	fmt.Fprintf(out, "END %d\n", bytes.Count(body, []byte("\n")))
+	return nil
+}
+
+// setSlowThreshold handles SLOWLOG <ms>; the log itself is INFO slowlog.
+func (s *Server) setSlowThreshold(out *bufio.Writer, args []string) error {
+	if len(args) == 0 {
+		return errors.New(`unknown command "SLOWLOG" (read the log with INFO slowlog)`)
+	}
+	if len(args) != 1 {
+		return errors.New("usage: SLOWLOG <thresholdms>")
+	}
+	ms, err := strconv.Atoi(args[0])
+	if err != nil || ms < 0 {
+		return fmt.Errorf("bad threshold %q (milliseconds)", args[0])
+	}
+	s.b.SetSlowQueryThreshold(time.Duration(ms) * time.Millisecond)
+	fmt.Fprintf(out, "OK threshold %dms\n", ms)
+	return nil
 }
 
 func (s *Server) topk(ctx context.Context, out *bufio.Writer, args []string) error {

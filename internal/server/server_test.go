@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"waveindex/internal/metrics"
 	"waveindex/wave"
 )
 
@@ -111,12 +112,12 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if len(top) != 2 || top[0].Count < top[1].Count {
 		t.Errorf("topk = %v", top)
 	}
-	stats, err := c.Stats()
-	if err != nil {
+	var stats wave.Stats
+	if err := c.Info("stats", &stats); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stats, "scheme=REINDEX++") {
-		t.Errorf("stats = %q", stats)
+	if stats.Scheme != "REINDEX++" {
+		t.Errorf("stats = %+v", stats)
 	}
 }
 
@@ -224,23 +225,23 @@ func TestMetricsCommand(t *testing.T) {
 	if _, err := c.Count(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Metrics()
-	if err != nil {
+	var m metrics.Snapshot
+	if err := c.Info("metrics", &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Counters["query_probe_total"] != 1 || m.Counters["query_mprobe_total"] != 1 || m.Counters["query_scan_total"] != 1 {
+	if m.Counter("query_probe_total") != 1 || m.Counter("query_mprobe_total") != 1 || m.Counter("query_scan_total") != 1 {
 		t.Errorf("query counters = %v", m.Counters)
 	}
-	if m.Counters["ingest_days_total"] != 5 {
-		t.Errorf("ingest_days_total = %d, want 5", m.Counters["ingest_days_total"])
+	if m.Counter("ingest_days_total") != 5 {
+		t.Errorf("ingest_days_total = %d, want 5", m.Counter("ingest_days_total"))
 	}
-	if h := m.Histogram("query_probe_us"); h.Count != 1 {
-		t.Errorf("query_probe_us row = %+v, want count 1", h)
+	if h := m.Histogram("query_probe_us"); h.Count != 1 || h.Quantile(0.99) == 0 {
+		t.Errorf("query_probe_us = %+v, want count 1 and a p99", h)
 	}
 	if h := m.Histogram("transition_work_us"); h.Count == 0 {
 		t.Error("no transition work timings over the wire")
 	}
-	if m.Gauges["disk_used_blocks"] == 0 {
+	if m.Gauge("disk_used_blocks") == 0 {
 		t.Error("disk_used_blocks gauge empty")
 	}
 }
@@ -258,8 +259,8 @@ func TestSlowlogCommand(t *testing.T) {
 	if _, err := c.ProbeRange("k1", 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	log, err := c.SlowLog()
-	if err != nil {
+	var log []wave.SlowQuery
+	if err := c.Info("slowlog", &log); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) != 2 {
@@ -283,7 +284,7 @@ func TestSlowlogCommand(t *testing.T) {
 	if _, err := c.Probe("k2"); err != nil {
 		t.Fatal(err)
 	}
-	if log, _ := c.SlowLog(); len(log) != 2 {
+	if err := c.Info("slowlog", &log); err != nil || len(log) != 2 {
 		t.Errorf("slow log grew while disabled: %d rows", len(log))
 	}
 	// Re-enable with a 1ms threshold: fast probes stay unlogged.
@@ -314,8 +315,8 @@ func TestTraceAndWorkCommands(t *testing.T) {
 	if _, err := c.Probe("k1"); err != nil {
 		t.Fatal(err)
 	}
-	log, err := c.SlowLog()
-	if err != nil {
+	var log []wave.SlowQuery
+	if err := c.Info("slowlog", &log); err != nil {
 		t.Fatal(err)
 	}
 	if len(log) != 2 {
@@ -332,16 +333,16 @@ func TestTraceAndWorkCommands(t *testing.T) {
 		t.Errorf("slow row missing disk delta: %+v", log[1])
 	}
 
-	rows, err := c.Work()
-	if err != nil {
+	var rows []wave.CauseStats
+	if err := c.Info("work", &rows); err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("work ledger = %d rows, want 4: %+v", len(rows), rows)
 	}
-	byCause := map[string]WorkRow{}
+	byCause := map[string]wave.CauseStats{}
 	for _, r := range rows {
-		byCause[r.Cause] = r
+		byCause[r.Cause.String()] = r
 	}
 	if r := byCause["query"]; r.Seeks == 0 || r.BytesRead == 0 {
 		t.Errorf("query work row empty: %+v", r)

@@ -1,7 +1,9 @@
 package simdisk
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -20,17 +22,14 @@ func (b *fileBackend) writeAt(off int64, p []byte) error {
 
 func (b *fileBackend) readAt(off int64, p []byte) error {
 	n, err := b.f.ReadAt(p, off)
-	if n == len(p) {
+	if errors.Is(err, io.EOF) {
+		// Reads past the file end return zero bytes, matching the RAM
+		// backend's behaviour for never-written regions. Any other short
+		// read is a real I/O error and must not read back as zeros.
+		clear(p[n:])
 		return nil
 	}
-	if err != nil && n < len(p) {
-		// Reads past the file end return zero bytes, matching the RAM
-		// backend's behaviour for never-written regions.
-		for i := n; i < len(p); i++ {
-			p[i] = 0
-		}
-	}
-	return nil
+	return err
 }
 
 func (b *fileBackend) close() error { return b.f.Close() }

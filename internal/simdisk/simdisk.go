@@ -208,6 +208,21 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause(%d)", int(c))
 }
 
+// MarshalText renders the cause by its label, so JSON documents (the
+// INFO work section) read "query" rather than 0.
+func (c Cause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText parses a label written by MarshalText.
+func (c *Cause) UnmarshalText(b []byte) error {
+	for _, x := range Causes {
+		if x.String() == string(b) {
+			*c = x
+			return nil
+		}
+	}
+	return fmt.Errorf("simdisk: unknown cause %q", b)
+}
+
 // CauseStats is one row of a store's work ledger: the disk work charged
 // while the store's cause was set to Cause.
 type CauseStats struct {

@@ -362,6 +362,30 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileStoreReadErrorSurfaces closes the backing file under a live
+// store: the failed read must surface as an error, not as zero bytes
+// indistinguishable from a never-written region.
+func TestFileStoreReadErrorSurfaces(t *testing.T) {
+	s, err := NewFile(filepath.Join(t.TempDir(), "store.dat"), Config{BlockSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := s.Alloc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteAt(ext, 0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.data.(*fileBackend).f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := []byte("sentinel")
+	if err := s.ReadAt(ext, 0, got); err == nil {
+		t.Fatalf("ReadAt on a closed backing file = nil error, read %q", got)
+	}
+}
+
 func TestExtentHelpers(t *testing.T) {
 	e := Extent{Start: 3, Blocks: 4}
 	if !e.Valid() || e.End() != 7 || e.Bytes(512) != 2048 {

@@ -166,9 +166,9 @@ func WriteWork(w io.Writer, rows []simdisk.CauseStats) error {
 // server renders it. It mirrors wave/shard's BreakerInfo without
 // importing it, keeping telemetry decoupled from the router.
 type BreakerStatus struct {
-	Shard    int
-	State    string // "closed", "open", or "half-open"
-	Failures int
+	Shard    int    `json:"shard"`
+	State    string `json:"state"` // "closed", "open", or "half-open"
+	Failures int    `json:"failures"`
 }
 
 // breakerStateValue maps breaker states onto a stable numeric gauge

@@ -172,7 +172,9 @@ func (x *Index) TopKeys(ctx context.Context, k, from, to int) ([]KeyCount, error
 			return nil, err
 		}
 	}
-	h := make(kcHeap, 0, k+1)
+	// Size the heap by the keys that exist, not by k: k comes off the
+	// wire, and TOPK 1e12 must not allocate a terabyte.
+	h := make(kcHeap, 0, min(k, len(counts))+1)
 	for key, n := range counts {
 		kc := KeyCount{key, n}
 		if len(h) < k {

@@ -9,8 +9,8 @@ import (
 // block buffer pool wrapped around the simulated stores (Level 1,
 // Config.CacheBlocks) and the per-constituent result cache keyed by
 // constituent generation (Level 2, Config.CacheResults). CacheInfo is
-// the combined snapshot exported over METRICS gauges, the CACHE wire
-// command, and /cache.
+// the combined snapshot exported as cache_* gauges, the INFO cache
+// wire document, and /cache.
 
 // BlockCacheStats reports one block cache's effectiveness, including
 // the simulated seek/transfer cost its hits avoided.
