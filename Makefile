@@ -20,7 +20,7 @@ GO ?= go
 # tests (its own go.mod keeps it out of the root build).
 .PHONY: check vet build test race bench-smoke metrics-smoke chaos-smoke \
 	shard-smoke netchaos-smoke cache-smoke bench-record bench-record-smoke \
-	bench-gate obs-smoke perfbench-test
+	bench-gate obs-smoke perfbench-test perfbench-run
 
 check: vet build race bench-smoke metrics-smoke chaos-smoke shard-smoke \
 	netchaos-smoke cache-smoke bench-record-smoke bench-gate obs-smoke \
@@ -85,6 +85,17 @@ obs-smoke:
 # and shard APIs, so an API change must pass here too.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# perfbench-run runs one untraced wall-clock benchmark workload and
+# prints its metrics; it is not part of check. Override the workload,
+# seed and run length with W=, SEED= and SECONDS=, e.g.
+#   make perfbench-run W=point-wire SEED=2 SECONDS=10
+W ?= window-scan
+SEED ?= 1
+SECONDS ?= 30
+
+perfbench-run:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0
 
 # bench-record writes a full-length bench trajectory to bench/ for
 # regression tracking; compare two recordings with

@@ -141,9 +141,9 @@ func (c *dataConstituent) Probe(key string, t1, t2 int) ([]index.Entry, error) {
 	return c.idx.Probe(key, t1, t2)
 }
 
-// Scan implements Searcher.
-func (c *dataConstituent) Scan(t1, t2 int, fn func(string, index.Entry) bool) error {
-	return c.idx.Scan(t1, t2, fn)
+// ScanGroups implements Searcher.
+func (c *dataConstituent) ScanGroups(t1, t2 int, fn func(string, []index.Entry) bool) error {
+	return c.idx.ScanGroups(t1, t2, fn)
 }
 
 // MultiProbe implements MultiSearcher: the key batch is answered in one

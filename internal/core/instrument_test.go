@@ -135,6 +135,33 @@ func TestQueryCtxCancellation(t *testing.T) {
 		t.Fatalf("mid-scan cancel: err = %v, want context.Canceled", err)
 	}
 
+	// Cancel mid-scan on a range inside one constituent: the single-stream
+	// path polls once per key group, so the scan ends at the next group —
+	// the per-entry wrapper finishes the current group, no more.
+	lo, groups := singleTargetDay(t, wave)
+	first := 0
+	ctx, cancelOne := context.WithCancel(context.Background())
+	delivered := 0
+	err = wave.SegmentScanGroupsCtx(ctx, lo, lo, func(_ string, es []index.Entry) bool {
+		delivered++
+		first = len(es)
+		cancelOne()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || delivered != 1 {
+		t.Fatalf("single-target group cancel: err = %v after %d of %d groups, want context.Canceled after 1", err, delivered, groups)
+	}
+	ctx, cancelOne = context.WithCancel(context.Background())
+	seen = 0
+	err = wave.TimedSegmentScanCtx(ctx, lo, lo, func(string, index.Entry) bool {
+		seen++
+		cancelOne()
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || seen != first {
+		t.Fatalf("single-target entry cancel: err = %v after %d entries, want context.Canceled after the first group's %d", err, seen, first)
+	}
+
 	// The pool must still work after all those aborts.
 	live, err := wave.ParallelTimedIndexProbe("alpha", 1, 1<<29)
 	if err != nil {
@@ -147,6 +174,35 @@ func TestQueryCtxCancellation(t *testing.T) {
 	if !reflect.DeepEqual(live, seq) {
 		t.Fatal("post-cancellation probe diverged from sequential")
 	}
+}
+
+// singleTargetDay returns a window day held by exactly one constituent
+// whose entries span at least two key groups, with that group count.
+func singleTargetDay(t *testing.T, w *Wave) (day, groups int) {
+	t.Helper()
+	for _, c := range w.Snapshot() {
+		if c == nil {
+			continue
+		}
+		for _, d := range c.Days() {
+			targets, _, err := searchTargets(w.Snapshot(), d, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(targets) != 1 {
+				continue
+			}
+			n := 0
+			if err := w.SegmentScanGroupsCtx(context.Background(), d, d, func(string, []index.Entry) bool { n++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if n >= 2 {
+				return d, n
+			}
+		}
+	}
+	t.Fatal("no day held by one constituent spans two key groups")
+	return 0, 0
 }
 
 // TestQueryInstrumentation wires QueryMetrics and a tracer into a wave

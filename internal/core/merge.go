@@ -12,16 +12,15 @@ import (
 // streams arrive per-constituent already ordered — probes by (day,
 // record, aux) within one bucket, scans by key — so the wave-level result
 // is assembled by merging rather than by re-sorting the concatenation.
-
-func entryLess(a, b index.Entry) bool {
-	if a.Day != b.Day {
-		return a.Day < b.Day
-	}
-	if a.RecordID != b.RecordID {
-		return a.RecordID < b.RecordID
-	}
-	return a.Aux < b.Aux
-}
+//
+// A scan moves one key group at a time from the block store to the
+// caller: each constituent's ScanGroups decodes a bucket's in-range
+// entries once into their own slice, the producer sends that slice down
+// its stream as is, and the consumer hands it to the caller whole. No
+// layer visits entries one by one; only the per-entry wrappers
+// (TimedSegmentScan[Ctx]) do, on the caller's goroutine. Cancellation is
+// polled once per group, by producers before each send and by the
+// consumer before each delivery.
 
 // mergeEntryLists merges per-constituent probe results, each sorted by
 // (day, record, aux), into one sorted slice. The list heads are selected
@@ -49,7 +48,7 @@ func mergeEntryLists(lists [][]index.Entry) []index.Entry {
 			if heads[i] >= len(l) {
 				continue
 			}
-			if best < 0 || entryLess(l[heads[i]], live[best][heads[best]]) {
+			if best < 0 || index.CompareEntries(l[heads[i]], live[best][heads[best]]) < 0 {
 				best = i
 			}
 		}
@@ -80,61 +79,28 @@ type scanStream struct {
 	slot int
 }
 
-// produceScan runs one constituent's scan, batching entries into per-key
-// groups and sending them down st.ch. The engine slot is held only while
-// the underlying scan produces entries and is released across channel
-// sends, so a pool smaller than the number of streams cannot deadlock the
-// merge (every stream still delivers its head group). A close of done —
-// or cancellation of ctx — aborts the scan at the next callback.
+// produceScan runs one constituent's scan, sending each key group it
+// yields straight down st.ch. The engine slot is held while the
+// underlying scan reads and decodes, and released only when a send must
+// block on a full stream, so a pool smaller than the number of streams
+// cannot deadlock the merge (every stream still delivers its head
+// group). Before each send the producer polls done and ctx — without
+// taking their locks, which every producer of the scan shares — and
+// aborts once either is closed.
 func produceScan(ctx context.Context, eng *Engine, s Searcher, t1, t2 int, st *scanStream, done <-chan struct{}, tr Tracer) {
-	var pend keyGroup
-	entries := 0
-	send := func(g keyGroup) bool {
-		eng.release()
-		defer eng.acquire()
-		select {
-		case st.ch <- g:
-			return true
-		case <-done:
-			return false
-		case <-ctx.Done():
-			return false
-		}
-	}
 	start := time.Now()
 	if !eng.acquireCtx(ctx) {
 		st.err = ctx.Err()
 		close(st.ch)
 		return
 	}
-	err := s.Scan(t1, t2, func(k string, e index.Entry) bool {
-		select {
-		case <-done:
-			return false
-		case <-ctx.Done():
-			return false
-		default:
-		}
-		entries++
-		if pend.es != nil && pend.key != k {
-			g := pend
-			pend = keyGroup{}
-			if !send(g) {
-				return false
-			}
-		}
-		pend.key = k
-		pend.es = append(pend.es, e)
-		return true
+	cancelled := ctx.Done()
+	entries := 0
+	err := s.ScanGroups(t1, t2, func(k string, es []index.Entry) bool {
+		entries += len(es)
+		return sendGroup(eng, st.ch, keyGroup{key: k, es: es}, done, cancelled)
 	})
 	eng.release()
-	if err == nil && pend.es != nil {
-		select {
-		case st.ch <- pend:
-		case <-done:
-		case <-ctx.Done():
-		}
-	}
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -144,6 +110,39 @@ func produceScan(ctx context.Context, eng *Engine, s Searcher, t1, t2 int, st *s
 	})
 	st.err = err
 	close(st.ch)
+}
+
+// sendGroup delivers g on ch for a producer holding an engine slot and
+// reports whether the scan should go on: false once done or cancelled is
+// closed. The closed checks are non-blocking receives, which read the
+// channel state without locking it; only a send that finds ch full
+// gives up the slot and blocks in a select on all three channels.
+func sendGroup(eng *Engine, ch chan<- keyGroup, g keyGroup, done, cancelled <-chan struct{}) bool {
+	select {
+	case <-done:
+		return false
+	default:
+	}
+	select {
+	case <-cancelled:
+		return false
+	default:
+	}
+	select {
+	case ch <- g:
+		return true
+	default:
+	}
+	eng.release()
+	defer eng.acquire()
+	select {
+	case ch <- g:
+		return true
+	case <-done:
+		return false
+	case <-cancelled:
+		return false
+	}
 }
 
 // streamHeap orders scan streams by their current group's key, ties
@@ -163,11 +162,12 @@ func (h *streamHeap) Push(x any)   { *h = append(*h, x.(*scanStream)) }
 func (h *streamHeap) Pop() (x any) { old := *h; n := len(old); x, *h = old[n-1], old[:n-1]; return }
 
 // consumeScanStreams merges the streams' key groups on the caller's
-// goroutine, invoking fn for every entry. It returns once fn asks to
+// goroutine, handing fn each group whole. It returns once fn asks to
 // stop (reported as true), ctx is done, or every stream is exhausted;
 // per-stream errors are collected by the caller after the producers wind
-// down. Cancellation is checked once per key group, not per entry.
-func consumeScanStreams(ctx context.Context, streams []*scanStream, fn func(key string, e index.Entry) bool) (stopped bool) {
+// down. Cancellation is polled once per key group, before it is handed
+// over.
+func consumeScanStreams(ctx context.Context, streams []*scanStream, fn func(key string, es []index.Entry) bool) (stopped bool) {
 	h := make(streamHeap, 0, len(streams))
 	for _, st := range streams {
 		if g, ok := <-st.ch; ok {
@@ -176,15 +176,16 @@ func consumeScanStreams(ctx context.Context, streams []*scanStream, fn func(key 
 		}
 	}
 	heap.Init(&h)
+	cancelled := ctx.Done()
 	for h.Len() > 0 {
-		if ctx.Err() != nil {
+		select {
+		case <-cancelled:
 			return false
+		default:
 		}
 		st := h[0]
-		for _, e := range st.cur.es {
-			if !fn(st.cur.key, e) {
-				return true
-			}
+		if !fn(st.cur.key, st.cur.es) {
+			return true
 		}
 		if g, ok := <-st.ch; ok {
 			st.cur = g

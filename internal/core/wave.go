@@ -13,7 +13,10 @@ import (
 // Searcher is the query surface of data-bearing constituents.
 type Searcher interface {
 	Probe(key string, t1, t2 int) ([]index.Entry, error)
-	Scan(t1, t2 int, fn func(key string, e index.Entry) bool) error
+	// ScanGroups visits, in ascending key order, each key's entries in
+	// [t1, t2] as one non-empty group, stopping early when fn returns
+	// false. fn may retain the group slice.
+	ScanGroups(t1, t2 int, fn func(key string, es []index.Entry) bool) error
 }
 
 // MultiSearcher is implemented by constituents that can answer a batch of
@@ -664,11 +667,30 @@ func (w *Wave) TimedSegmentScan(t1, t2 int, fn func(key string, e index.Entry) b
 	return w.TimedSegmentScanCtx(context.Background(), t1, t2, fn)
 }
 
-// TimedSegmentScanCtx is TimedSegmentScan with cancellation: once ctx is
-// done the producers abort at their next callback, the merge stops, and
+// TimedSegmentScanCtx is TimedSegmentScan with cancellation: it is
+// SegmentScanGroupsCtx, one entry at a time.
+func (w *Wave) TimedSegmentScanCtx(ctx context.Context, t1, t2 int, fn func(key string, e index.Entry) bool) error {
+	return w.SegmentScanGroupsCtx(ctx, t1, t2, func(key string, es []index.Entry) bool {
+		for _, e := range es {
+			if !fn(key, e) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// SegmentScanGroupsCtx is the wave's TimedSegmentScan delivered one key
+// group at a time: fn receives each qualifying constituent's non-empty
+// run of a key's entries in [t1, t2], groups in ascending key order and,
+// within a key, in wave slot order — so a key held by several
+// constituents arrives as several consecutive groups. fn runs on the
+// caller's goroutine, may retain the group slice, and stops the scan by
+// returning false. Cancellation is polled once per group: once ctx is
+// done the producers abort at their next group, the merge stops, and
 // ctx's error is returned. All producer goroutines are joined before
 // returning, so no pool worker leaks.
-func (w *Wave) TimedSegmentScanCtx(ctx context.Context, t1, t2 int, fn func(key string, e index.Entry) bool) error {
+func (w *Wave) SegmentScanGroupsCtx(ctx context.Context, t1, t2 int, fn func(key string, es []index.Entry) bool) error {
 	cons, _, eng, _ := w.beginQuery()
 	defer w.endQuery()
 	qm, tr := w.instrumentation()
@@ -691,14 +713,15 @@ func (w *Wave) TimedSegmentScanCtx(ctx context.Context, t1, t2 int, fn func(key 
 		start := time.Now()
 		stopped := false
 		entries := 0
-		err = targets[0].Scan(t1, t2, func(k string, e index.Entry) bool {
-			entries++
-			// Cancellation is polled every 1024 entries so an idle ctx
-			// costs nothing on the per-entry hot path.
-			if entries&1023 == 0 && ctx.Err() != nil {
+		cancelled := ctx.Done()
+		err = targets[0].ScanGroups(t1, t2, func(k string, es []index.Entry) bool {
+			select {
+			case <-cancelled:
 				return false
+			default:
 			}
-			if !fn(k, e) {
+			entries += len(es)
+			if !fn(k, es) {
 				stopped = true
 				return false
 			}
@@ -818,7 +841,7 @@ func (w *Wave) AggCountCtx(ctx context.Context, t1, t2 int) (n int, ok bool, err
 			return nil
 		}
 		v := 0
-		if err := plan.targets[i].Scan(ct1, ct2, func(string, index.Entry) bool { v++; return true }); err != nil {
+		if err := plan.targets[i].ScanGroups(ct1, ct2, func(_ string, es []index.Entry) bool { v += len(es); return true }); err != nil {
 			return err
 		}
 		plan.rc.PutCount(plan.gens[i], ct1, ct2, v)
@@ -852,8 +875,10 @@ func (w *Wave) AggDayCountsCtx(ctx context.Context, t1, t2 int) (out map[int]int
 			return nil
 		}
 		m := make(map[int]int)
-		if err := plan.targets[i].Scan(ct1, ct2, func(_ string, e index.Entry) bool {
-			m[int(e.Day)]++
+		if err := plan.targets[i].ScanGroups(ct1, ct2, func(_ string, es []index.Entry) bool {
+			for _, e := range es {
+				m[int(e.Day)]++
+			}
 			return true
 		}); err != nil {
 			return err
@@ -892,8 +917,8 @@ func (w *Wave) AggKeyCountsCtx(ctx context.Context, t1, t2 int) (out map[string]
 			return nil
 		}
 		m := make(map[string]int)
-		if err := plan.targets[i].Scan(ct1, ct2, func(k string, _ index.Entry) bool {
-			m[k]++
+		if err := plan.targets[i].ScanGroups(ct1, ct2, func(k string, es []index.Entry) bool {
+			m[k] += len(es)
 			return true
 		}); err != nil {
 			return err

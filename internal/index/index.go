@@ -1,8 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"waveindex/internal/simdisk"
@@ -103,31 +106,40 @@ func (idx *Index) bucketTarget(b *bucketRef) (simdisk.Extent, int64) {
 	return idx.seg, b.off
 }
 
-// readBucket returns the live entries of b. The transfer buffer is
-// pooled; the decoded entries are freshly allocated and safe to retain.
+// allDaysLo and allDaysHi bound the day range that admits every entry:
+// Entry.Day is an int32, so no timestamp falls outside it.
+const allDaysLo, allDaysHi = math.MinInt32, math.MaxInt32
+
+// readBucket returns all live entries of b, freshly allocated and safe
+// to retain.
 func (idx *Index) readBucket(b *bucketRef) ([]Entry, error) {
+	return idx.readBucketRange(b, allDaysLo, allDaysHi)
+}
+
+// readBucketRange returns b's entries with a day in [t1, t2], reading
+// through a transfer buffer borrowed from the pool for this one read.
+func (idx *Index) readBucketRange(b *bucketRef, t1, t2 int) ([]Entry, error) {
+	xfer := getXfer()
+	defer putXfer(xfer)
+	return idx.readInRange(b, xfer, t1, t2)
+}
+
+// readInRange reads b's encoded entries into the transfer buffer *xfer,
+// growing it as needed, and decodes those with a day in [t1, t2] in one
+// pass into a freshly allocated, exactly sized slice the caller may
+// retain — nil when none qualifies. A pass over many buckets reuses one
+// transfer buffer, so the decoded slice is its only allocation per
+// bucket.
+func (idx *Index) readInRange(b *bucketRef, xfer *[]byte, t1, t2 int) ([]Entry, error) {
 	if b.used == 0 {
 		return nil, nil
 	}
-	buf, err := idx.readBucketRaw(b)
-	if err != nil {
-		return nil, err
-	}
-	es := decodeEntries(buf, b.used)
-	putBuf(buf)
-	return es, nil
-}
-
-// readBucketRaw reads b's encoded entries into a pooled buffer; the
-// caller must release it with putBuf.
-func (idx *Index) readBucketRaw(b *bucketRef) ([]byte, error) {
+	buf := growBuf(xfer, b.used*EntrySize)
 	ext, base := idx.bucketTarget(b)
-	buf := getBuf(b.used * EntrySize)
 	if err := idx.store.ReadAt(ext, base, buf); err != nil {
-		putBuf(buf)
 		return nil, err
 	}
-	return buf, nil
+	return decodeInRange(buf, b.used, t1, t2), nil
 }
 
 // Add incrementally indexes the postings of the given day batches using
@@ -324,12 +336,11 @@ func (idx *Index) Probe(key string, t1, t2 int) ([]Entry, error) {
 	if !ok {
 		return nil, nil
 	}
-	es, err := idx.readBucket(b)
+	es, err := idx.readBucketRange(b, t1, t2)
 	if err != nil {
 		return nil, fmt.Errorf("index: probe %q: %w", key, err)
 	}
-	es = filterByDay(es, t1, t2)
-	SortEntries(es)
+	sortIfUnordered(es)
 	return es, nil
 }
 
@@ -360,41 +371,41 @@ func (idx *Index) ProbeMulti(keys []string, t1, t2 int) ([][]Entry, error) {
 	}
 	sort.Slice(reqs, func(a, b int) bool { return reqs[a].pos < reqs[b].pos })
 	out := make([][]Entry, len(keys))
+	xfer := getXfer()
+	defer putXfer(xfer)
 	for _, r := range reqs {
-		es, err := idx.readBucket(r.b)
+		es, err := idx.readInRange(r.b, xfer, t1, t2)
 		if err != nil {
 			return nil, fmt.Errorf("index: multiprobe %q: %w", keys[r.i], err)
 		}
-		es = filterByDay(es, t1, t2)
-		SortEntries(es)
-		if len(es) > 0 {
-			out[r.i] = es
-		}
+		sortIfUnordered(es)
+		out[r.i] = es
 	}
 	return out, nil
 }
 
-// Scan visits every entry with a timestamp in [t1, t2] in ascending key
-// order, stopping early if fn returns false. On a packed index the buckets
-// are laid out in key order, so the scan is one seek plus a sequential
-// transfer of the whole segment.
-func (idx *Index) Scan(t1, t2 int, fn func(key string, e Entry) bool) error {
+// ScanGroups visits, in ascending key order, each key's entries with a
+// timestamp in [t1, t2] as one group in bucket order, stopping early if
+// fn returns false. A key with no entry in range is skipped, so every
+// group is non-empty. Each group is a freshly allocated slice fn may
+// retain; it is the scan's only allocation per bucket, since every
+// bucket is read through one pooled transfer buffer. On a packed index
+// the buckets are laid out in key order, so the scan is one seek plus a
+// sequential transfer of the whole segment.
+func (idx *Index) ScanGroups(t1, t2 int, fn func(key string, es []Entry) bool) error {
 	if idx.dropped {
 		return ErrDropped
 	}
+	xfer := getXfer()
+	defer putXfer(xfer)
 	var err error
 	idx.dir.ascend(func(key string, b *bucketRef) bool {
 		var es []Entry
-		es, err = idx.readBucket(b)
+		es, err = idx.readInRange(b, xfer, t1, t2)
 		if err != nil {
 			return false
 		}
-		for _, e := range filterByDay(es, t1, t2) {
-			if !fn(key, e) {
-				return false
-			}
-		}
-		return true
+		return len(es) == 0 || fn(key, es)
 	})
 	if err != nil {
 		return fmt.Errorf("index: scan: %w", err)
@@ -402,28 +413,48 @@ func (idx *Index) Scan(t1, t2 int, fn func(key string, e Entry) bool) error {
 	return nil
 }
 
-func filterByDay(es []Entry, t1, t2 int) []Entry {
-	out := make([]Entry, 0, len(es))
-	for _, e := range es {
-		if int(e.Day) >= t1 && int(e.Day) <= t2 {
-			out = append(out, e)
+// Scan visits every entry with a timestamp in [t1, t2] in ascending key
+// order, stopping early if fn returns false: ScanGroups, one entry at a
+// time.
+func (idx *Index) Scan(t1, t2 int, fn func(key string, e Entry) bool) error {
+	return idx.ScanGroups(t1, t2, func(key string, es []Entry) bool {
+		for _, e := range es {
+			if !fn(key, e) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// sortIfUnordered sorts es like SortEntries unless a linear check finds
+// it already in (day, record, aux) order — the usual case, since a
+// CONTIGUOUS bucket is appended day by day and a packed build files each
+// key's entries in day order. Equal entries are identical structs, so
+// the result is the same either way.
+func sortIfUnordered(es []Entry) {
+	for i := 1; i < len(es); i++ {
+		if CompareEntries(es[i], es[i-1]) < 0 {
+			SortEntries(es)
+			return
 		}
 	}
-	return out
 }
 
 // SortEntries orders entries by (day, record, aux) — the canonical probe
 // result order, which makes per-constituent results mergeable streams.
-func SortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Day != es[j].Day {
-			return es[i].Day < es[j].Day
-		}
-		if es[i].RecordID != es[j].RecordID {
-			return es[i].RecordID < es[j].RecordID
-		}
-		return es[i].Aux < es[j].Aux
-	})
+func SortEntries(es []Entry) { slices.SortFunc(es, CompareEntries) }
+
+// CompareEntries orders entries by (day, record, aux), returning -1, 0
+// or +1 like cmp.Compare.
+func CompareEntries(a, b Entry) int {
+	if c := cmp.Compare(a.Day, b.Day); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.RecordID, b.RecordID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Aux, b.Aux)
 }
 
 // Drop frees all storage held by the index and marks it unusable. This is

@@ -483,7 +483,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	if len(buf) != len(es)*EntrySize {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), len(es)*EntrySize)
 	}
-	got := decodeEntries(buf, len(es))
+	got := decodeInRange(buf, len(es), allDaysLo, allDaysHi)
 	for i := range es {
 		if got[i] != es[i] {
 			t.Errorf("entry %d round-trip = %v, want %v", i, got[i], es[i])

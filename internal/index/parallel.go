@@ -122,20 +122,33 @@ var bufPool = sync.Pool{
 const maxPooledBuf = 1 << 20
 
 // getBuf returns a length-n buffer from the pool.
-func getBuf(n int) []byte {
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return (*bp)[:n]
-}
+func getBuf(n int) []byte { return growBuf(getXfer(), n) }
 
 // putBuf returns a buffer obtained from getBuf to the pool. The caller
 // must not retain any reference into it. Buffers over maxPooledBuf are
 // dropped for the GC instead of pooled.
-func putBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
+func putBuf(b []byte) { putXfer(&b) }
+
+// getXfer borrows a transfer buffer from the pool for a pass of reads
+// that reuses it (sized per read with growBuf); return it with putXfer.
+// Unlike a getBuf/putBuf pair per read, the pass allocates nothing once
+// the buffer has grown to its largest read.
+func getXfer() *[]byte { return bufPool.Get().(*[]byte) }
+
+// putXfer returns a transfer buffer to the pool, dropping it for the GC
+// when it grew past maxPooledBuf.
+func putXfer(bp *[]byte) {
+	if cap(*bp) > maxPooledBuf {
 		return
 	}
-	bufPool.Put(&b)
+	bufPool.Put(bp)
+}
+
+// growBuf returns the first n bytes of *bp, reallocating it first when
+// it is shorter.
+func growBuf(bp *[]byte, n int) []byte {
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	return (*bp)[:n]
 }

@@ -92,7 +92,7 @@ func ReadSnapshot(store simdisk.BlockStore, r io.Reader) (*Index, error) {
 		if len(raw)%EntrySize != 0 {
 			return nil, fmt.Errorf("index: restore: bucket %q has %d raw bytes", key, len(raw))
 		}
-		es := decodeEntries(raw, len(raw)/EntrySize)
+		es := decodeInRange(raw, len(raw)/EntrySize, allDaysLo, allDaysHi)
 		if capEntries < len(es) {
 			return nil, fmt.Errorf("index: restore: bucket %q cap %d < %d entries", key, capEntries, len(es))
 		}

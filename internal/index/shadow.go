@@ -88,38 +88,41 @@ func (idx *Index) PackedMerge(expire []int, adds ...*Batch) (*Index, error) {
 	// Read every bucket sequentially in directory order so the store sees
 	// the exact access pattern of a serial scan (seek charges depend on
 	// issue order), then decode and filter the raw bytes in parallel —
-	// that part is pure CPU work on private buffers.
+	// that part is pure CPU work on private buffers. The raw buckets land
+	// in one exactly sized arena rather than a pooled buffer each: the
+	// pool hands any buffer up to maxPooledBuf to a tiny request, so
+	// pinning one per bucket until the merge ends would hold many times
+	// the index's size live.
 	type rawBucket struct {
 		key  string
-		raw  []byte
-		used int
+		b    *bucketRef
+		off  int
 		kept []Entry
 	}
-	var raws []rawBucket
-	var err error
+	raws := make([]rawBucket, 0, idx.dir.len())
+	total := 0
 	idx.dir.ascend(func(key string, b *bucketRef) bool {
-		var raw []byte
-		raw, err = idx.readBucketRaw(b)
-		if err != nil {
-			return false
-		}
-		raws = append(raws, rawBucket{key: key, raw: raw, used: b.used})
+		raws = append(raws, rawBucket{key: key, b: b, off: total})
+		total += b.used * EntrySize
 		return true
 	})
-	if err != nil {
-		for _, r := range raws {
-			putBuf(r.raw)
+	arena := make([]byte, total)
+	for i := range raws {
+		rb := &raws[i]
+		ext, base := idx.bucketTarget(rb.b)
+		if err := idx.store.ReadAt(ext, base, arena[rb.off:rb.off+rb.b.used*EntrySize]); err != nil {
+			return nil, fmt.Errorf("index: packed merge: %w", err)
 		}
-		return nil, fmt.Errorf("index: packed merge: %w", err)
 	}
 	ranges := chunkRanges(len(raws), idx.opts.Parallelism)
 	runWorkers(idx.opts.Parallelism, len(ranges), func(ci int) error {
 		r := ranges[ci]
 		for i := r[0]; i < r[1]; i++ {
 			rb := &raws[i]
-			kept := make([]Entry, 0, rb.used)
-			for j := 0; j < rb.used; j++ {
-				e := decodeEntry(rb.raw[j*EntrySize:])
+			raw := arena[rb.off:]
+			kept := make([]Entry, 0, rb.b.used)
+			for j := 0; j < rb.b.used; j++ {
+				e := decodeEntry(raw[j*EntrySize:])
 				if _, x := gone[e.Day]; !x {
 					kept = append(kept, e)
 				}
@@ -130,7 +133,6 @@ func (idx *Index) PackedMerge(expire []int, adds ...*Batch) (*Index, error) {
 	})
 	groups := make(map[string][]Entry, len(raws))
 	for i := range raws {
-		putBuf(raws[i].raw)
 		if len(raws[i].kept) > 0 {
 			groups[raws[i].key] = raws[i].kept
 		}

@@ -28,8 +28,8 @@ func (x *Index) CountRange(ctx context.Context, from, to int) (int, error) {
 		return n, err
 	}
 	n := 0
-	err := x.ScanRange(ctx, from, to, func(string, Entry) bool {
-		n++
+	err := x.scanGroups(ctx, from, to, func(_ string, es []Entry) bool {
+		n += len(es)
 		return true
 	})
 	return n, err
@@ -165,8 +165,8 @@ func (x *Index) TopKeys(ctx context.Context, k, from, to int) ([]KeyCount, error
 		}
 	} else {
 		counts = map[string]int{}
-		if err := x.ScanRange(ctx, from, to, func(key string, _ Entry) bool {
-			counts[key]++
+		if err := x.scanGroups(ctx, from, to, func(key string, es []Entry) bool {
+			counts[key] += len(es)
 			return true
 		}); err != nil {
 			return nil, err
@@ -238,8 +238,10 @@ func (x *Index) Histogram(ctx context.Context, from, to int) ([]int, error) {
 		return out, nil
 	}
 	out := make([]int, to-from+1)
-	err := x.ScanRange(ctx, from, to, func(_ string, e Entry) bool {
-		out[int(e.Day)-from]++
+	err := x.scanGroups(ctx, from, to, func(_ string, es []Entry) bool {
+		for _, e := range es {
+			out[int(e.Day)-from]++
+		}
 		return true
 	})
 	if err != nil {
@@ -257,7 +259,7 @@ func (x *Index) DistinctKeys(ctx context.Context, from, to int) (int, error) {
 		return len(m), nil
 	}
 	seen := map[string]struct{}{}
-	err := x.ScanRange(ctx, from, to, func(key string, _ Entry) bool {
+	err := x.scanGroups(ctx, from, to, func(key string, _ []Entry) bool {
 		seen[key] = struct{}{}
 		return true
 	})

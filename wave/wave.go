@@ -628,17 +628,32 @@ func (x *Index) Scan(ctx context.Context, fn func(key string, e Entry) bool) err
 
 // ScanRange visits every entry inserted between day from and to.
 func (x *Index) ScanRange(ctx context.Context, from, to int, fn func(key string, e Entry) bool) error {
+	return x.scanGroups(ctx, from, to, func(key string, es []Entry) bool {
+		for _, e := range es {
+			if !fn(key, e) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// scanGroups is the scan every ScanRange and scan-derived aggregate runs:
+// the wave's TimedSegmentScan over [from, to], delivered one
+// constituent's key group at a time (a key held by several constituents
+// arrives as consecutive groups), recorded as one "scan" query.
+func (x *Index) scanGroups(ctx context.Context, from, to int, fn func(key string, es []Entry) bool) error {
 	if err := x.queryable(); err != nil {
 		return err
 	}
 	start, before, track := x.obs.begin()
 	if !track {
-		return x.scheme.Wave().TimedSegmentScanCtx(ctx, from, to, fn)
+		return x.scheme.Wave().SegmentScanGroupsCtx(ctx, from, to, fn)
 	}
 	entries := 0
-	err := x.scheme.Wave().TimedSegmentScanCtx(ctx, from, to, func(key string, e Entry) bool {
-		entries++
-		return fn(key, e)
+	err := x.scheme.Wave().SegmentScanGroupsCtx(ctx, from, to, func(key string, es []Entry) bool {
+		entries += len(es)
+		return fn(key, es)
 	})
 	x.obs.end("scan", "", core.TraceIDFrom(ctx), 0, from, to, entries, start, before, err)
 	return err
